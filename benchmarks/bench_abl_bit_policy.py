@@ -1,11 +1,12 @@
 """Ablation: neighbour-selection policy for the 3-bit draw.
 
 The paper never says what its kernel does when the three feed bits read
-111 (there is no neighbour 7).  Compares the three policies implemented
-in :mod:`repro.core.walk`: unbiased rejection (default), branch-free
-mod-7 (biased towards neighbour 0), and lazy (111 -> stay put).
-Reports feed-bit overhead, local throughput, and the neighbour-index
-bias each policy induces.
+111 (there is no neighbour 7).  Compares the two policies implemented
+in :mod:`repro.core.walk`: unbiased rejection (default, the chained
+walk) and branch-free mod-7 (111 -> neighbour 0, the identity map, so
+biased towards staying put; the windowed bank).  Reports feed-bit
+overhead, local throughput, and the neighbour-index bias each policy
+induces.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ reference kernels **in the same run**:
 
 * **FEED** -- ``GlibcRandom.words64`` throughput, blocked lag-3/lag-31
   kernel vs the one-window-at-a-time reference (``blocked=False``);
-* **GENERATE** -- ``ParallelExpanderPRNG.generate`` numbers/s under all
-  three neighbour-selection policies with the fused walk kernel, plus
+* **GENERATE** -- ``ParallelExpanderPRNG.generate`` numbers/s under both
+  neighbour-selection policies (the chained ``reject`` walk and the
+  windowed ``mod`` bank) with the fused walk kernel, plus
   the pre-overhaul variant (``fused=False`` + unblocked feed) under the
   default ``reject`` policy for the end-to-end speedup;
 * **DELIVERY** -- ``generate_into`` into a caller-owned buffer vs

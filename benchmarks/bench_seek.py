@@ -5,7 +5,8 @@ is O(log offset) matrix-power composition, so resuming a stream that has
 served a trillion words costs the same as resuming a fresh one.  This
 benchmark measures the wall-clock latency of a cold seek at offsets from
 2**10 to 2**48 -- for the glibc feed itself and for a full
-:class:`~repro.core.parallel.AddressableExpanderPRNG` walker bank -- and
+``policy="mod"`` :class:`~repro.core.parallel.ParallelExpanderPRNG`
+walker bank -- and
 records the ratio ``t(2**40) / t(2**10)``.
 
 The gate (CI ``recovery`` job): that ratio stays under 2x.  A replay
@@ -33,7 +34,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from repro.bitsource.glibc import GlibcRandom
-from repro.core.parallel import AddressableExpanderPRNG
+from repro.core.parallel import ParallelExpanderPRNG
 
 DEFAULT_EXPONENTS = (10, 20, 30, 40, 48)
 BANK_LANES = 64
@@ -64,8 +65,9 @@ def run(exponents=DEFAULT_EXPONENTS, repeats: int = 9) -> dict:
     report = {"lanes": BANK_LANES, "repeats": repeats}
     for label, make in [
         ("feed", lambda: GlibcRandom(2026)),
-        ("bank", lambda: AddressableExpanderPRNG(
-            num_threads=BANK_LANES, bit_source=GlibcRandom(2026))),
+        ("bank", lambda: ParallelExpanderPRNG(
+            num_threads=BANK_LANES, bit_source=GlibcRandom(2026),
+            policy="mod")),
     ]:
         for exp in exponents:
             t = _median_seek_s(make, 1 << exp, repeats)

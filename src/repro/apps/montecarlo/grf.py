@@ -93,6 +93,7 @@ def pencil_modes(
         ParallelExpanderPRNG(
             num_threads=lanes,
             bit_source=SplitMix64Source(pencil_seed(master_seed, ky)),
+            policy="mod",
         )
     )
     z = stream.normal(2 * kx_count)

@@ -74,6 +74,7 @@ def stream_hits(
         ParallelExpanderPRNG(
             num_threads=lanes,
             bit_source=SplitMix64Source(derive_seed(master_seed, stream_index)),
+            policy="mod",
         )
     )
     hits = 0

@@ -17,11 +17,9 @@ from repro.core.generator import DEFAULT_WALK_LENGTH, ExpanderWalkPRNG
 from repro.core.parallel import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_NUM_THREADS,
-    AddressableExpanderPRNG,
     ParallelExpanderPRNG,
 )
 from repro.core.walk import (
-    FIXED_CONSUMPTION_POLICIES,
     POLICIES,
     WalkEngine,
     WalkState,
@@ -44,9 +42,7 @@ __all__ = [
     "ExpanderWalkPRNG",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_NUM_THREADS",
-    "AddressableExpanderPRNG",
     "ParallelExpanderPRNG",
-    "FIXED_CONSUMPTION_POLICIES",
     "POLICIES",
     "WalkEngine",
     "WalkState",

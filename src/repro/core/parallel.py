@@ -10,6 +10,22 @@ Values are independent of ``S`` and of ``num_threads`` ordering choices:
 ``generate(n)`` always returns numbers grouped launch-by-launch,
 thread-major within a launch, mirroring how the paper's kernel writes its
 output array.
+
+The bank emits one stream per neighbour-selection policy:
+
+``reject`` (default)
+    The paper's chained walk: each thread's walk carries over from one
+    round to the next, and every step redraws until its 3 bits name a
+    neighbour.  ``seek`` can only replay forwards.
+``mod``
+    The windowed construction: round ``r`` draws its start vertices
+    **and** its complete chunk window from the fixed feed slice
+    ``[r * words_per_round, (r + 1) * words_per_round)``, with
+    ``words_per_round = lanes + ceil(walk_length * lanes / 21)``, walks
+    ``walk_length`` steps and emits.  Round ``r`` is a pure function of
+    ``(seed, lanes, walk_length, r)``, so ``seek`` reaches any offset
+    with one feed seek plus at most one round of walking, and
+    consecutive rounds fuse into one wide walk.
 """
 
 from __future__ import annotations
@@ -26,12 +42,7 @@ from repro.bitsource.base import (
 from repro.bitsource.glibc import GlibcRandom
 from repro.core.expander import GabberGalilExpander
 from repro.core.generator import DEFAULT_WALK_LENGTH
-from repro.core.walk import (
-    CHUNKS_PER_WORD,
-    FIXED_CONSUMPTION_POLICIES,
-    WalkEngine,
-    WalkState,
-)
+from repro.core.walk import CHUNKS_PER_WORD, WalkEngine, WalkState
 from repro.obs import metrics as obs_metrics
 from repro.obs.sentinel.tap import maybe_observe
 from repro.obs.trace import span
@@ -40,7 +51,6 @@ from repro.utils.checks import check_positive
 
 __all__ = [
     "ParallelExpanderPRNG",
-    "AddressableExpanderPRNG",
     "DEFAULT_NUM_THREADS",
     "DEFAULT_BATCH_SIZE",
 ]
@@ -51,12 +61,11 @@ DEFAULT_NUM_THREADS = 30 * 32 * 16  # 15360 lanes
 #: The paper's empirically optimal numbers-per-thread batch (Figure 5).
 DEFAULT_BATCH_SIZE = 100
 
-#: Lane budget of one fused multi-round launch on an addressable bank.
-#: Addressable rounds are independent, so K rounds of an nt-lane bank
-#: can walk as one (K * nt)-lane bank; this caps K * nt so the fused
-#: state and its scratch stay cache-sized.  A pure batching knob: it
-#: cannot change emitted values, only how many rounds share one kernel
-#: sweep.
+#: Lane budget of one fused multi-round launch on a ``mod`` bank.
+#: Windowed rounds are independent, so K rounds of an nt-lane bank can
+#: walk as one (K * nt)-lane bank; this caps K * nt so the fused state
+#: and its scratch stay cache-sized.  A pure batching knob: it cannot
+#: change emitted values, only how many rounds share one kernel sweep.
 FUSED_LAUNCH_LANES = 1 << 16
 
 
@@ -69,8 +78,11 @@ class ParallelExpanderPRNG:
         Walker lanes (GPU threads).
     seed : int
         Seed for the default glibc feed.
-    graph, bit_source, walk_length, policy :
+    graph, bit_source, walk_length :
         As in :class:`~repro.core.generator.ExpanderWalkPRNG`.
+    policy : str
+        ``'reject'`` (chained, forward-only seek) or ``'mod'``
+        (windowed, offset-addressable); see the module docstring.
 
     Examples
     --------
@@ -108,8 +120,12 @@ class ParallelExpanderPRNG:
             self.graph, policy=policy, fused=fused, backend=backend
         )
         self.backend = self.engine.backend
+        #: True for the windowed ``mod`` stream, False for chained ``reject``.
+        self.addressable = policy == "mod"
+        chunks = self.walk_length * self.num_threads
+        #: Feed words one windowed round reads (``mod`` only).
+        self.words_per_round = self.num_threads + -(-chunks // CHUNKS_PER_WORD)
         self._state: Optional[WalkState] = None
-        self.numbers_generated = 0
         self.initialize()
 
     # ------------------------------------------------------------------
@@ -117,20 +133,32 @@ class ParallelExpanderPRNG:
     # ------------------------------------------------------------------
 
     def initialize(self) -> None:
-        """Give every thread a feed-chosen start vertex and a 64-step mix."""
+        """Reset to offset 0.
+
+        A ``reject`` bank gives every thread a feed-chosen start vertex
+        and a 64-step mix; a ``mod`` bank draws nothing, since every
+        windowed round picks its own start vertices and mixes afresh.
+        """
         obs_metrics.gauge(
             "repro_prng_lanes", "Walker lanes in the parallel generator"
         ).set(self.num_threads)
-        with span("generate", init=True, lanes=self.num_threads):
-            starts = self.source.words64(self.num_threads)
-            self._state = self.engine.make_state(starts)
-            self.engine.walk(self._state, self.source, self.walk_length)
         self.numbers_generated = 0
+        #: Rounds of the stream produced so far (the stream position).
+        self._round_index = 0
+        #: Feed word position of a ``mod`` bank's source.
+        self._source_pos = 0
         #: Numbers produced by the last round but not yet handed out.
         #: Part of the stream contract: the stream is one lane-major
         #: round sequence and ``generate`` slices it, so fetch sizing
         #: cannot change which numbers a caller sees.
         self._remainder = np.empty(0, dtype=np.uint64)
+        self._state = None
+        if self.addressable:
+            return
+        with span("generate", init=True, lanes=self.num_threads):
+            starts = self.source.words64(self.num_threads)
+            self._state = self.engine.make_state(starts)
+            self.engine.walk(self._state, self.source, self.walk_length)
 
     # ------------------------------------------------------------------
     # Bulk generation
@@ -143,25 +171,67 @@ class ParallelExpanderPRNG:
         directly and neither consumes nor clears :meth:`generate`'s
         buffered round remainder.
         """
-        steps_before = self._state.steps_taken
-        chunks_before = self._state.chunks_consumed
-        with span("generate", lanes=self.num_threads):
-            self.engine.walk(self._state, self.source, self.walk_length)
-            out = self.engine.outputs(self._state)
-        self.numbers_generated += self.num_threads
-        obs_metrics.counter(
-            "repro_prng_numbers_total", "64-bit numbers emitted"
-        ).inc(self.num_threads)
-        obs_metrics.counter(
-            "repro_prng_rounds_total", "GetNextRand rounds executed"
-        ).inc()
-        obs_metrics.counter(
-            "repro_prng_steps_total", "Walker steps taken (all lanes)"
-        ).inc(self._state.steps_taken - steps_before)
-        obs_metrics.counter(
-            "repro_prng_feed_bits_total", "Feed bits consumed (3 per chunk)"
-        ).inc(3 * (self._state.chunks_consumed - chunks_before))
+        out = np.empty(self.num_threads, dtype=np.uint64)
+        self._launch_into(out, 1)
         return out
+
+    def _window_into(self, out: np.ndarray, first_round: int,
+                     num_rounds: int) -> None:
+        """Windowed rounds ``[first_round, first_round + num_rounds)``.
+
+        Because every windowed round is a pure function of its own feed
+        slice, ``num_rounds`` consecutive rounds of an ``nt``-lane bank
+        are *one* walk of ``num_rounds * nt`` independent lanes: lane
+        ``r * nt + j`` is round ``r``'s walker ``j``, started from round
+        ``r``'s start words and stepped by round ``r``'s chunk indices.
+        Lanes never interact, so the fused walk is bit-identical to
+        ``num_rounds`` sequential rounds -- while the per-step NumPy
+        work runs on ``num_rounds``-times-wider arrays, which is what
+        makes small banks (16-64 lanes) fast.
+        """
+        nt = self.num_threads
+        wl = self.walk_length
+        wpr = self.words_per_round
+        base = first_round * wpr
+        if self._source_pos != base:
+            self.source.seek(base)
+        words = self.source.words64(num_rounds * wpr)
+        self._source_pos = base + num_rounds * wpr
+        slab = words.reshape(num_rounds, wpr)
+        fresh = self.engine.make_state(slab[:, :nt].reshape(-1))
+        prev = self._state
+        if prev is not None:
+            # Carry the cumulative counters and the fused-kernel scratch
+            # buffers across launches; the stale view identities (and a
+            # lane-count check inside the kernel) force the scratch to
+            # re-sync with the new start positions.
+            fresh.steps_taken = prev.steps_taken
+            fresh.chunks_consumed = prev.chunks_consumed
+            bufs = getattr(prev, "_fused_bufs", None)
+            if bufs is not None:
+                fresh._fused_bufs = bufs
+                fresh._fused_xy = (None, None)
+        self._state = fresh
+        # Per round: 21 chunks per word, first wl * nt are real, the
+        # word-tail chunks are padding.  Step-major across the fused
+        # lane axis: ks[i] holds step i's index for every (round, lane).
+        ks = self.engine.indices_from_chunks(
+            chunks_from_words(np.ascontiguousarray(slab[:, nt:]).reshape(-1))
+        )
+        ks = ks.reshape(num_rounds, -1)[:, : wl * nt]
+        ks = np.ascontiguousarray(
+            ks.reshape(num_rounds, wl, nt)
+            .transpose(1, 0, 2)
+            .reshape(wl, num_rounds * nt)
+        )
+        if not self.backend.is_host:
+            # Stage the whole launch's index block on the device in one
+            # transfer; per-step row slices then pass through untouched.
+            ks = self.backend.device_index(ks)
+        for i in range(wl):
+            self.engine._apply_indices(fresh, ks[i])
+        fresh.chunks_consumed += wl * nt * num_rounds
+        self.engine.outputs_into(fresh, out)
 
     def _launch_into(self, out: np.ndarray, num_rounds: int) -> None:
         """One kernel launch: ``num_rounds`` full rounds under one span.
@@ -170,18 +240,28 @@ class ParallelExpanderPRNG:
         each round, directly into ``out`` (size ``num_rounds *
         num_threads``) -- the same stream :meth:`next_round` walks, so
         launch grouping cannot change values, only tracing granularity.
-        No intermediate per-round arrays are allocated.
+        No intermediate per-round arrays are allocated.  A ``mod``
+        launch walks up to :data:`FUSED_LAUNCH_LANES` lanes at a time.
         """
         nt = self.num_threads
-        steps_before = self._state.steps_taken
-        chunks_before = self._state.chunks_consumed
+        steps_before, chunks_before = self._counters()
         with span("generate", lanes=nt, rounds=num_rounds):
-            for i in range(num_rounds):
-                self.engine.walk(self._state, self.source, self.walk_length)
-                self.engine.outputs_into(
-                    self._state, out[i * nt : (i + 1) * nt]
-                )
+            if self.addressable:
+                per_launch = max(1, FUSED_LAUNCH_LANES // nt)
+                for done in range(0, num_rounds, per_launch):
+                    k = min(per_launch, num_rounds - done)
+                    self._window_into(out[done * nt : (done + k) * nt],
+                                      self._round_index + done, k)
+            else:
+                for i in range(num_rounds):
+                    self.engine.walk(self._state, self.source,
+                                     self.walk_length)
+                    self.engine.outputs_into(
+                        self._state, out[i * nt : (i + 1) * nt]
+                    )
+        self._round_index += num_rounds
         self.numbers_generated += out.size
+        steps_after, chunks_after = self._counters()
         obs_metrics.counter(
             "repro_prng_numbers_total", "64-bit numbers emitted"
         ).inc(out.size)
@@ -190,10 +270,17 @@ class ParallelExpanderPRNG:
         ).inc(num_rounds)
         obs_metrics.counter(
             "repro_prng_steps_total", "Walker steps taken (all lanes)"
-        ).inc(self._state.steps_taken - steps_before)
+        ).inc(steps_after - steps_before)
         obs_metrics.counter(
             "repro_prng_feed_bits_total", "Feed bits consumed (3 per chunk)"
-        ).inc(3 * (self._state.chunks_consumed - chunks_before))
+        ).inc(3 * (chunks_after - chunks_before))
+
+    def _counters(self) -> tuple:
+        """``(steps_taken, chunks_consumed)``; zeros before a first round."""
+        st = self._state
+        if st is None:
+            return 0, 0
+        return st.steps_taken, st.chunks_consumed
 
     def generate_into(
         self, out: np.ndarray, batch_size: Optional[int] = None
@@ -216,8 +303,15 @@ class ParallelExpanderPRNG:
             raise ValueError("out must be C-contiguous")
         if not out.flags.writeable:
             raise ValueError("out must be writeable")
+        nt = self.num_threads
         if batch_size is not None:
             check_positive("batch_size", batch_size)
+        elif self.addressable:
+            # One launch of K windowed rounds is one (K * lanes)-wide
+            # walk, so default to the full fused lane budget.
+            batch_size = max(1, FUSED_LAUNCH_LANES // nt)
+        else:
+            batch_size = 1
         n = out.size
         pos = 0
         if self._remainder.size:
@@ -225,10 +319,8 @@ class ParallelExpanderPRNG:
             out[:take] = self._remainder[:take]
             self._remainder = self._remainder[take:]
             pos = take
-        nt = self.num_threads
         while n - pos >= nt:
-            full_rounds = (n - pos) // nt
-            k = 1 if batch_size is None else min(full_rounds, batch_size)
+            k = min((n - pos) // nt, batch_size)
             self._launch_into(out[pos : pos + k * nt], k)
             pos += k * nt
         if pos < n:
@@ -253,7 +345,9 @@ class ParallelExpanderPRNG:
         ``batch_size`` (the paper's ``S``, Figure 5) groups the work into
         kernel launches of up to ``num_threads * batch_size`` numbers --
         one tracing span per launch instead of per round.  It cannot
-        change the values; ``None`` launches round by round.
+        change the values; ``None`` launches round by round on a
+        ``reject`` bank and fuses up to :data:`FUSED_LAUNCH_LANES` lanes
+        on a ``mod`` bank.
         """
         if n < 0:
             raise ValueError(f"count must be non-negative, got {n}")
@@ -267,33 +361,49 @@ class ParallelExpanderPRNG:
 
     def tell(self) -> int:
         """Absolute offset of the next word :meth:`generate` will return."""
-        return self.numbers_generated - self._remainder.size
+        return self._round_index * self.num_threads - self._remainder.size
 
     def seek(self, word_offset: int) -> None:
         """Position the stream at an absolute word offset.
 
-        The chained construction threads walker positions through every
-        round, so the only general implementation is forward replay:
-        O(offset - tell()) work, and seeking backwards is impossible
-        without reseeding.  :class:`AddressableExpanderPRNG` overrides
-        this with an O(log offset) jump.
+        ``mod``: a jump without replay -- one feed ``seek`` (O(log
+        offset)) plus at most one round of walking when the offset lands
+        inside a round, in either direction.  ``reject``: the chained
+        walk threads walker positions through every round, so the only
+        general implementation is forward replay, O(offset - tell()).
         """
         if word_offset < 0:
             raise ValueError(f"word offset must be non-negative, got {word_offset}")
         pos = self.tell()
-        if word_offset < pos:
-            raise ValueError(
-                f"cannot seek backwards on a chained stream ({word_offset} < "
-                f"{pos}); use AddressableExpanderPRNG for arbitrary offsets"
-            )
-        skip = word_offset - pos
-        if not skip:
+        if word_offset == pos:
             return
-        scratch = np.empty(min(skip, 1 << 16), dtype=np.uint64)
-        while skip:
-            take = min(skip, scratch.size)
-            self.generate_into(scratch[:take])
-            skip -= take
+        if not self.addressable:
+            if word_offset < pos:
+                raise ValueError(
+                    f"cannot seek backwards on a chained stream "
+                    f"({word_offset} < {pos}); build the bank with "
+                    f"policy=\"mod\" for arbitrary offsets"
+                )
+            skip = word_offset - pos
+            scratch = np.empty(min(skip, 1 << 16), dtype=np.uint64)
+            while skip:
+                take = min(skip, scratch.size)
+                self.generate_into(scratch[:take])
+                skip -= take
+            return
+        if not self.source.seekable:
+            # Fail here, not on the next generate: repositioning always
+            # needs a feed seek eventually, and a deferred error would
+            # blame the wrong call.
+            raise UnseekableSourceError(
+                f"cannot seek: feed {self.source.name!r} is not seekable"
+            )
+        rounds, within = divmod(word_offset, self.num_threads)
+        self._round_index = rounds
+        self._remainder = np.empty(0, dtype=np.uint64)
+        if within:
+            vals = self.next_round()
+            self._remainder = vals[within:].copy()
 
     def rounds(self, num_rounds: int) -> Iterator[np.ndarray]:
         """Yield ``num_rounds`` successive per-thread output vectors."""
@@ -371,11 +481,14 @@ class ParallelExpanderPRNG:
     @property
     def bits_consumed(self) -> int:
         """Feed bits consumed so far across all threads."""
-        return 3 * self._state.chunks_consumed
+        return 3 * self._counters()[1]
 
     @property
-    def state(self) -> WalkState:
-        """The underlying walker bank (read-mostly; copy before mutating)."""
+    def state(self) -> Optional[WalkState]:
+        """The underlying walker bank (read-mostly; copy before mutating).
+
+        ``None`` on a ``mod`` bank that has not produced a round yet.
+        """
         return self._state
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -386,220 +499,6 @@ class ParallelExpanderPRNG:
         )
 
 
-class AddressableExpanderPRNG(ParallelExpanderPRNG):
-    """Offset-addressable walker bank: ``seek(offset)`` in O(log offset).
-
-    The chained construction threads walker positions from round to
-    round, so reaching word ``w`` requires replaying every round before
-    it.  This variant makes each round *independent*: round ``r`` draws
-    its start vertices **and** its complete chunk window from a fixed
-    feed slice,
-
-    ``[r * words_per_round, (r + 1) * words_per_round)``,
-    ``words_per_round = lanes + ceil(walk_length * lanes / 21)``,
-
-    walks ``walk_length`` steps, and emits.  Generated sequentially it
-    is an ordinary stream (no seeking needed, unseekable feeds work);
-    but because round ``r`` is a pure function of ``(seed, lanes,
-    walk_length, policy, r)``, any offset is reachable by one feed
-    ``seek`` -- O(log offset) for the glibc window-map power -- plus at
-    most one round of walking.  Restart cost is independent of stream
-    age, and results are cacheable by ``(stream, offset)``.
-
-    Requires a fixed-consumption policy ('mod' or 'lazy', default
-    'lazy'): 'reject' redraws a data-dependent number of chunks, so no
-    round boundary can be located without replaying the stream.
-    """
-
-    def __init__(
-        self,
-        num_threads: int = DEFAULT_NUM_THREADS,
-        seed: int = 0,
-        graph: Optional[GabberGalilExpander] = None,
-        bit_source: Optional[BitSource] = None,
-        walk_length: int = DEFAULT_WALK_LENGTH,
-        policy: str = "lazy",
-        fused: bool = True,
-        backend=None,
-    ):
-        if policy not in FIXED_CONSUMPTION_POLICIES:
-            raise ValueError(
-                f"offset-addressable streams need a fixed-consumption policy "
-                f"{FIXED_CONSUMPTION_POLICIES}, got {policy!r}"
-            )
-        super().__init__(
-            num_threads=num_threads,
-            seed=seed,
-            graph=graph,
-            bit_source=bit_source,
-            walk_length=walk_length,
-            policy=policy,
-            fused=fused,
-            backend=backend,
-        )
-
-    def initialize(self) -> None:
-        """Reset to offset 0.  No init-mix walk: every round mixes afresh."""
-        obs_metrics.gauge(
-            "repro_prng_lanes", "Walker lanes in the parallel generator"
-        ).set(self.num_threads)
-        chunks_per_round = self.walk_length * self.num_threads
-        self._chunk_words = -(-chunks_per_round // CHUNKS_PER_WORD)
-        self.words_per_round = self.num_threads + self._chunk_words
-        self._round_index = 0
-        self._source_pos = 0
-        self._state = None
-        self.numbers_generated = 0
-        self._remainder = np.empty(0, dtype=np.uint64)
-
-    # -- round production ----------------------------------------------
-
-    def _produce_rounds_into(self, out: np.ndarray, num_rounds: int) -> None:
-        """Rounds ``[_round_index, _round_index + num_rounds)`` into ``out``.
-
-        Because every addressable round is a pure function of its own
-        feed slice, ``num_rounds`` consecutive rounds of an ``nt``-lane
-        bank are *one* walk of ``num_rounds * nt`` independent lanes:
-        lane ``r * nt + j`` is round ``r``'s walker ``j``, started from
-        round ``r``'s start words and stepped by round ``r``'s chunk
-        indices.  Lanes never interact, so the fused walk is
-        bit-identical to ``num_rounds`` sequential rounds -- while the
-        per-step NumPy work runs on ``num_rounds``-times-wider arrays,
-        which is what makes small session banks (64 lanes) fast.
-        """
-        nt = self.num_threads
-        wl = self.walk_length
-        wpr = self.words_per_round
-        base = self._round_index * wpr
-        if self._source_pos != base:
-            self.source.seek(base)
-        words = self.source.words64(num_rounds * wpr)
-        self._source_pos = base + num_rounds * wpr
-        slab = words.reshape(num_rounds, wpr)
-        fresh = self.engine.make_state(slab[:, :nt].reshape(-1))
-        prev = self._state
-        if prev is not None:
-            # Carry the cumulative counters and the fused-kernel scratch
-            # buffers across launches; the stale view identities (and a
-            # lane-count check inside the kernel) force the scratch to
-            # re-sync with the new start positions.
-            fresh.steps_taken = prev.steps_taken
-            fresh.chunks_consumed = prev.chunks_consumed
-            bufs = getattr(prev, "_fused_bufs", None)
-            if bufs is not None:
-                fresh._fused_bufs = bufs
-                fresh._fused_xy = (None, None)
-        self._state = fresh
-        # Per round: 21 chunks per word, first wl * nt are real, the
-        # word-tail chunks are padding.  Step-major across the fused
-        # lane axis: ks[i] holds step i's index for every (round, lane).
-        ks = self.engine.indices_from_chunks(
-            chunks_from_words(np.ascontiguousarray(slab[:, nt:]).reshape(-1))
-        )
-        ks = ks.reshape(num_rounds, -1)[:, : wl * nt]
-        ks = np.ascontiguousarray(
-            ks.reshape(num_rounds, wl, nt)
-            .transpose(1, 0, 2)
-            .reshape(wl, num_rounds * nt)
-        )
-        if not self.backend.is_host:
-            # Stage the whole launch's index block on the device in one
-            # transfer; per-step row slices then pass through untouched.
-            ks = self.backend.device_index(ks)
-        for i in range(wl):
-            self.engine._apply_indices(fresh, ks[i])
-        fresh.chunks_consumed += wl * nt * num_rounds
-        self.engine.outputs_into(fresh, out)
-        self._round_index += num_rounds
-
-    def _launch_into(self, out: np.ndarray, num_rounds: int) -> None:
-        nt = self.num_threads
-        per_launch = max(1, FUSED_LAUNCH_LANES // nt)
-        steps_before, chunks_before = self._counters()
-        with span("generate", lanes=nt, rounds=num_rounds):
-            done = 0
-            while done < num_rounds:
-                k = min(per_launch, num_rounds - done)
-                self._produce_rounds_into(out[done * nt : (done + k) * nt], k)
-                done += k
-        self.numbers_generated += out.size
-        steps_after, chunks_after = self._counters()
-        obs_metrics.counter(
-            "repro_prng_numbers_total", "64-bit numbers emitted"
-        ).inc(out.size)
-        obs_metrics.counter(
-            "repro_prng_rounds_total", "GetNextRand rounds executed"
-        ).inc(num_rounds)
-        obs_metrics.counter(
-            "repro_prng_steps_total", "Walker steps taken (all lanes)"
-        ).inc(steps_after - steps_before)
-        obs_metrics.counter(
-            "repro_prng_feed_bits_total", "Feed bits consumed (3 per chunk)"
-        ).inc(3 * (chunks_after - chunks_before))
-
-    def next_round(self) -> np.ndarray:
-        out = np.empty(self.num_threads, dtype=np.uint64)
-        self._launch_into(out, 1)
-        return out
-
-    def generate_into(
-        self, out: np.ndarray, batch_size: Optional[int] = None
-    ) -> None:
-        """Like the base class, but launches default to the fused width.
-
-        On an addressable bank, one launch of K rounds is one
-        (K * lanes)-wide walk (see :meth:`_produce_rounds_into`), so the
-        default batch size is the full :data:`FUSED_LAUNCH_LANES` budget
-        instead of one round per launch.  Values are identical either
-        way -- ``batch_size`` is a launch-grouping knob, never part of
-        the stream identity.
-        """
-        if batch_size is None:
-            batch_size = max(1, FUSED_LAUNCH_LANES // self.num_threads)
-        super().generate_into(out, batch_size)
-
-    def _counters(self) -> tuple:
-        st = self._state
-        return (st.steps_taken, st.chunks_consumed) if st is not None else (0, 0)
-
-    # -- positioning ----------------------------------------------------
-
-    def tell(self) -> int:
-        return self._round_index * self.num_threads - self._remainder.size
-
-    def seek(self, word_offset: int) -> None:
-        """Jump to any absolute word offset without replay.
-
-        Cost: one feed ``seek`` (O(log offset)) plus at most one round
-        of walking when the offset lands inside a round -- independent
-        of both the target offset and the current position.  Backwards
-        seeks are allowed.
-        """
-        if word_offset < 0:
-            raise ValueError(f"word offset must be non-negative, got {word_offset}")
-        if word_offset == self.tell():
-            return
-        if not self.source.seekable:
-            # Fail here, not on the next generate: repositioning always
-            # needs a feed seek eventually, and a deferred error would
-            # blame the wrong call.
-            raise UnseekableSourceError(
-                f"cannot seek: feed {self.source.name!r} is not seekable"
-            )
-        rounds, within = divmod(word_offset, self.num_threads)
-        self._round_index = rounds
-        self._remainder = np.empty(0, dtype=np.uint64)
-        if within:
-            vals = self.next_round()
-            self._remainder = vals[within:].copy()
-
-    @property
-    def bits_consumed(self) -> int:
-        return 0 if self._state is None else 3 * self._state.chunks_consumed
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"AddressableExpanderPRNG(threads={self.num_threads}, "
-            f"m={self.graph.m}, l={self.walk_length}, "
-            f"policy={self.engine.policy!r}, feed={self.source.name!r})"
-        )
+#: Former name of the windowed bank, kept so external code that imports
+#: it still resolves; construct ``ParallelExpanderPRNG(policy="mod")``.
+AddressableExpanderPRNG = ParallelExpanderPRNG

@@ -9,6 +9,11 @@ stored anywhere.
 Feed state is handled via a small protocol: sources expose their state
 through ``__getstate_dict__`` / ``__setstate_dict__`` if present, else
 the known source types are handled here explicitly.
+
+A ``policy="mod"`` walker bank is the exception: its stream is a pure
+function of the word offset, so its snapshot *is* that offset, and
+restoring is a ``seek`` on a bank built the same way (same lanes, same
+feed seed).
 """
 
 from __future__ import annotations
@@ -81,13 +86,19 @@ def capture_state(prng) -> Dict[str, Any]:
     """Snapshot an :class:`ExpanderWalkPRNG` or :class:`ParallelExpanderPRNG`."""
     if not isinstance(prng, (ExpanderWalkPRNG, ParallelExpanderPRNG)):
         raise TypeError(f"unsupported generator type {type(prng).__name__}")
-    state = prng._state
     snapshot = {
         "version": _FORMAT_VERSION,
         "kind": type(prng).__name__,
         "m": prng.graph.m,
         "walk_length": prng.walk_length,
         "policy": prng.engine.policy,
+    }
+    if isinstance(prng, ParallelExpanderPRNG) and prng.addressable:
+        snapshot["lanes"] = prng.num_threads
+        snapshot["offset"] = prng.tell()
+        return snapshot
+    state = prng._state
+    snapshot.update({
         "x": [int(v) for v in np.atleast_1d(state.x)],
         "y": [int(v) for v in np.atleast_1d(state.y)],
         "steps_taken": int(state.steps_taken),
@@ -95,7 +106,7 @@ def capture_state(prng) -> Dict[str, Any]:
         "feed_buffer": [int(v) for v in state.feed_buffer],
         "numbers_generated": int(prng.numbers_generated),
         "source": _source_state(prng.source),
-    }
+    })
     if isinstance(prng, ParallelExpanderPRNG):
         snapshot["remainder"] = [int(v) for v in prng._remainder]
     return snapshot
@@ -115,6 +126,14 @@ def restore_state(prng, snapshot: Dict[str, Any]) -> None:
         raise ValueError("snapshot walk length does not match")
     if snapshot["policy"] != prng.engine.policy:
         raise ValueError("snapshot policy does not match")
+    if "offset" in snapshot:
+        if snapshot["lanes"] != prng.num_threads:
+            raise ValueError(
+                f"snapshot has {snapshot['lanes']} walkers, generator has "
+                f"{prng.num_threads}"
+            )
+        prng.seek(snapshot["offset"])
+        return
     x = np.array(snapshot["x"])
     if isinstance(prng, ParallelExpanderPRNG) and x.size != prng.num_threads:
         raise ValueError(
@@ -130,5 +149,7 @@ def restore_state(prng, snapshot: Dict[str, Any]) -> None:
     )
     prng.numbers_generated = snapshot["numbers_generated"]
     if isinstance(prng, ParallelExpanderPRNG):
+        # A chained bank only ever produces whole rounds.
+        prng._round_index = prng.numbers_generated // prng.num_threads
         prng._remainder = np.array(snapshot["remainder"], dtype=np.uint64)
     _restore_source(prng.source, snapshot["source"])

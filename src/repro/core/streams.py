@@ -58,13 +58,14 @@ def spawn_parallel_streams(
     num_threads: int = 4096,
     walk_length: int = DEFAULT_WALK_LENGTH,
 ) -> List[ParallelExpanderPRNG]:
-    """``count`` independent walker banks from one seed."""
+    """``count`` independent offset-addressable walker banks from one seed."""
     check_positive("count", count)
     return [
         ParallelExpanderPRNG(
             num_threads=num_threads,
             bit_source=SplitMix64Source(derive_seed(master_seed, i)),
             walk_length=walk_length,
+            policy="mod",
         )
         for i in range(count)
     ]

@@ -6,7 +6,7 @@ holds a current vertex ``(x, y)`` and advances independently, consuming
 
 The paper (Algorithms 1 and 2) masks 3 bits per step out of the feed but
 never says what happens when those bits read ``111`` (7), which does not
-name a neighbour.  Three policies are implemented and ablated:
+name a neighbour.  Two policies are implemented and ablated:
 
 ``reject``
     Redraw until the 3 bits name a neighbour.  Unbiased -- the walk is the
@@ -14,11 +14,12 @@ name a neighbour.  Three policies are implemented and ablated:
     Costs a factor 8/7 in feed bits.  **Default.**
 ``mod``
     Use ``k = bits % 7``.  Cheapest and branch-free (what a CUDA kernel
-    would most plausibly do) but gives neighbour 0 probability 2/8.
-``lazy``
-    Map 7 to 0 (the identity map), i.e. a lazy walk that stays put with
-    probability 2/8.  Same bit cost as ``mod``; bias only towards
-    self-loops, which provably cannot hurt the stationary distribution.
+    would most plausibly do) but gives neighbour 0 -- the identity map
+    -- probability 2/8, i.e. a lazy walk that stays put a little more
+    often; a bias towards self-loops provably cannot hurt the
+    stationary distribution.  One chunk per step, so the feed position
+    of any step is a closed-form function of the step index: the
+    policy behind offset-addressable walker banks.
 
 The stream contract
 -------------------
@@ -34,7 +35,7 @@ next step draws anything.  Consequences, guaranteed by tests:
 * ``walk(state, src, a)`` then ``walk(state, src, b)`` equals
   ``walk(state, src, a + b)``;
 * ``length`` repeated ``step()`` calls equal one ``walk(length)``,
-  bit-for-bit, under all three policies.
+  bit-for-bit, under both policies.
 """
 
 from __future__ import annotations
@@ -50,18 +51,10 @@ __all__ = [
     "WalkEngine",
     "WalkState",
     "POLICIES",
-    "FIXED_CONSUMPTION_POLICIES",
     "CHUNKS_PER_WORD",
 ]
 
-POLICIES = ("reject", "mod", "lazy")
-
-#: Policies that consume exactly one chunk per walker step.  Only these
-#: admit offset-addressable streams: the feed position of any step is a
-#: closed-form function of the step index, so a walk can start at an
-#: arbitrary offset without replaying the chunks before it.  'reject'
-#: redraws a data-dependent number of chunks and is excluded.
-FIXED_CONSUMPTION_POLICIES = ("mod", "lazy")
+POLICIES = ("reject", "mod")
 
 #: 3-bit chunks yielded per 64-bit feed word (the last bit is unused).
 CHUNKS_PER_WORD = 21
@@ -272,7 +265,7 @@ class WalkEngine:
         """
         chunks = self._take_chunks(state, source, n)
         state.chunks_consumed += n
-        if self.policy in FIXED_CONSUMPTION_POLICIES:
+        if self.policy == "mod":
             return self.indices_from_chunks(chunks)
         # 'reject': redraw lanes that read 111 until none remain.  Track
         # offending indices so each round only touches the shrinking
@@ -288,20 +281,16 @@ class WalkEngine:
     def indices_from_chunks(self, chunks: np.ndarray) -> np.ndarray:
         """Map raw 3-bit chunks to neighbour indices, no feed interaction.
 
-        Only valid for the fixed-consumption policies (one chunk per
-        step): 'mod' folds 7 onto 0 via subtraction, 'lazy' maps 7 to
-        the identity neighbour.  'reject' consumes a data-dependent
-        number of chunks per step and therefore has no chunk-pure
-        mapping -- offset-addressable streams cannot use it.
+        Only valid for 'mod' (one chunk per step, 7 folds onto 0 via
+        subtraction).  'reject' consumes a data-dependent number of
+        chunks per step and therefore has no chunk-pure mapping --
+        offset-addressable streams cannot use it.
         """
         if self.policy == "mod":
             return np.where(chunks >= DEGREE, chunks - _U8(DEGREE), chunks)
-        if self.policy == "lazy":
-            return np.where(chunks == _U8(7), _U8(0), chunks)
         raise ValueError(
             "policy 'reject' consumes a data-dependent number of chunks; "
-            f"only fixed-consumption policies {FIXED_CONSUMPTION_POLICIES} "
-            "map pre-drawn chunks to indices"
+            "only policy 'mod' maps pre-drawn chunks to indices"
         )
 
     # -- fused kernel plumbing -----------------------------------------
@@ -414,10 +403,10 @@ class WalkEngine:
         """Advance every walker by ``length`` steps, in place.
 
         Bit-for-bit equal to ``length`` separate :meth:`step` calls under
-        every policy (the stream contract).  For 'mod' and 'lazy' that
-        equivalence lets all ``length * n`` chunks be drawn in one bulk
-        request (step-major order) -- the chunk stream is continuous, so
-        slicing cannot change it.  'reject' must interleave each step's
+        every policy (the stream contract).  For 'mod' that equivalence
+        lets all ``length * n`` chunks be drawn in one bulk request
+        (step-major order) -- the chunk stream is continuous, so slicing
+        cannot change it.  'reject' must interleave each step's
         redraws with the next step's base draw, so it steps one at a
         time.
         """

@@ -86,8 +86,8 @@ class ExpanderBitGen:
         ``seed``/``lanes``.
 
     The produced word stream is exactly
-    ``ParallelExpanderPRNG(num_threads=lanes, seed=seed)``'s stream;
-    ``random_raw(n)`` exposes it for parity tests.
+    ``ParallelExpanderPRNG(num_threads=lanes, seed=seed, policy="mod")``'s
+    stream; ``random_raw(n)`` exposes it for parity tests.
     """
 
     def __init__(
@@ -105,7 +105,7 @@ class ExpanderBitGen:
         self.lanes = lanes
         self.buffer_words = int(buffer_words)
         self.prng = prng if prng is not None else ParallelExpanderPRNG(
-            num_threads=lanes, seed=seed
+            num_threads=lanes, seed=seed, policy="mod"
         )
         #: Generator serializes through this lock (NumPy contract).
         self.lock = threading.Lock()
@@ -203,7 +203,7 @@ class ExpanderGenerator:
         self.seed = seed
         self.lanes = lanes
         self.prng = prng if prng is not None else ParallelExpanderPRNG(
-            num_threads=lanes, seed=seed
+            num_threads=lanes, seed=seed, policy="mod"
         )
         self.dist = DistStream(self.prng)
         self.lock = threading.Lock()

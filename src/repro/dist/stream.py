@@ -29,9 +29,9 @@ and the existing words-consumed session journal needs no new record
 types (see ``docs/serving.md``).
 
 The word source is anything with the repo's ``generate(n) -> uint64``
-shape (:class:`~repro.core.parallel.ParallelExpanderPRNG`,
-:class:`~repro.core.parallel.AddressableExpanderPRNG`, a session draw
-hook, ...) or a bare callable ``n -> uint64 array``.
+shape (:class:`~repro.core.parallel.ParallelExpanderPRNG` under either
+policy, a session draw hook, ...) or a bare callable ``n -> uint64
+array``.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ shard order:
 
     round 0: shard 0 lanes, shard 1 lanes, ..., round 1: shard 0, ...
 
-That stream is a pure function of ``(seed, shards, lanes, walk_length,
-policy)`` -- :func:`serial_reference` produces the identical values in
+That stream is a pure function of ``(seed, shards, lanes, walk_length)``
+-- :func:`serial_reference` produces the identical values in
 process, and ``generate`` buffers round remainders so fetch sizing
 cannot change it (the same stream contract the core obeys).
 
@@ -23,13 +23,16 @@ fetch names a ``(stream_seed, lanes)`` stream, is routed to the shard
 ``stream_seed % shards``, and is served from a per-stream walker bank
 inside that worker -- byte-identical to running the same bank in
 process, which is what lets ``repro.serve`` sessions move onto the
-shard pool without changing a single client-visible value.  Banks are
-:class:`~repro.core.parallel.AddressableExpanderPRNG` streams (the
-engine requires a fixed-consumption policy), and every fetch carries
-the stream's **absolute word offset**: a worker whose bank is at a
+shard pool without changing a single client-visible value.  Every bank
+is an offset-addressable ``policy="mod"``
+:class:`~repro.core.parallel.ParallelExpanderPRNG`, and every fetch
+carries the stream's **absolute word offset**: a worker whose bank is at a
 different position seeks there directly -- O(log offset) via the feed
 jump-ahead -- so respawn cost is independent of stream age and
 ``fetch_stream(..., offset=...)`` serves any slice without replay.
+Each worker keeps at most :data:`MAX_WORKER_STREAMS` named-stream banks,
+least recently used first out; an evicted stream is rebuilt and seeks
+on its next fetch.
 
 Health follows :mod:`repro.resilience`: worker feeds run behind
 :class:`~repro.resilience.supervised.SupervisedFeed` failover chains, a
@@ -50,6 +53,7 @@ import multiprocessing as mp
 import pickle
 import queue as queue_mod
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -59,9 +63,8 @@ from repro.bitsource.base import BitSource
 from repro.bitsource.counter import SplitMix64Source
 from repro.bitsource.os_entropy import OsEntropySource
 from repro.core.generator import DEFAULT_WALK_LENGTH
-from repro.core.parallel import AddressableExpanderPRNG
+from repro.core.parallel import ParallelExpanderPRNG
 from repro.core.streams import derive_seed
-from repro.core.walk import FIXED_CONSUMPTION_POLICIES
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.resilience.errors import WorkerFailedError
@@ -108,22 +111,30 @@ _IDLE_POLL_S = 0.02
 #: overflow just becomes another round on the same shard.
 MAX_ROUND_WORDS = 1 << 21
 
+#: Named-stream banks one worker keeps between fetches.  Past the cap
+#: the least recently fetched bank is dropped; a bank is rebuilt from
+#: its stream seed and one O(log offset) seek, so the cap bounds worker
+#: memory without changing a served byte.
+MAX_WORKER_STREAMS = 256
+
+#: A worker's named-stream banks by ``(stream_seed, lanes)``, least
+#: recently fetched first.
+StreamBanks = OrderedDict[Tuple[int, int], ParallelExpanderPRNG]
+
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Everything that identifies a shard pool *and* its streams.
 
-    ``(seed, shards, lanes, walk_length, policy)`` are part of the bulk
-    stream's identity; the rest is operational.
+    ``(seed, shards, lanes, walk_length)`` are part of the bulk
+    stream's identity; the rest is operational.  Every bank walks the
+    offset-addressable ``policy="mod"`` stream.
     """
 
     seed: int = 0
     shards: int = 2
     lanes: int = DEFAULT_ENGINE_LANES
     walk_length: int = DEFAULT_WALK_LENGTH
-    #: Walk policy; must be fixed-consumption ('mod'/'lazy') -- engine
-    #: streams are offset-addressable, which 'reject' cannot be.
-    policy: str = "lazy"
     #: Rounds buffered per shard; ``0`` disables the bulk stream (a
     #: serve-only pool answers stream fetches but assembles no rounds).
     ring_slots: int = DEFAULT_RING_SLOTS
@@ -153,12 +164,6 @@ class EngineConfig:
         check_positive("shards", self.shards)
         check_positive("lanes", self.lanes)
         check_positive("walk_length", self.walk_length)
-        if self.policy not in FIXED_CONSUMPTION_POLICIES:
-            raise ValueError(
-                f"engine streams are offset-addressable and need a "
-                f"fixed-consumption policy {FIXED_CONSUMPTION_POLICIES}, "
-                f"got {self.policy!r}"
-            )
         if self.ring_slots < 0:
             raise ValueError(
                 f"ring_slots must be >= 0, got {self.ring_slots}"
@@ -195,27 +200,40 @@ def _make_feed(config: EngineConfig, feed_seed: int) -> BitSource:
     )
 
 
-def _make_bank(config: EngineConfig, shard_index: int) -> AddressableExpanderPRNG:
+def _make_bank(config: EngineConfig, shard_index: int) -> ParallelExpanderPRNG:
     """Shard ``shard_index``'s bulk walker bank (offset-addressable)."""
-    return AddressableExpanderPRNG(
-        num_threads=config.lanes,
-        bit_source=_make_feed(config, derive_seed(config.seed, shard_index)),
-        walk_length=config.walk_length,
-        policy=config.policy,
-        backend=config.backend,
-    )
+    return _make_stream(config, derive_seed(config.seed, shard_index),
+                        config.lanes)
 
 
 def _make_stream(config: EngineConfig, stream_seed: int,
-                 lanes: int) -> AddressableExpanderPRNG:
+                 lanes: int) -> ParallelExpanderPRNG:
     """A named stream's walker bank (identical to an in-process one)."""
-    return AddressableExpanderPRNG(
+    return ParallelExpanderPRNG(
         num_threads=lanes,
         bit_source=_make_feed(config, stream_seed),
         walk_length=config.walk_length,
-        policy=config.policy,
+        policy="mod",
         backend=config.backend,
     )
+
+
+def _stream_bank(streams: StreamBanks, config: EngineConfig,
+                 stream_seed: int, lanes: int) -> ParallelExpanderPRNG:
+    """The worker's cached bank for a named stream, LRU-bounded.
+
+    A hit moves the bank to the most-recent end; a miss builds it and
+    drops the least recently used bank past :data:`MAX_WORKER_STREAMS`.
+    """
+    key = (stream_seed, lanes)
+    prng = streams.get(key)
+    if prng is None:
+        prng = streams[key] = _make_stream(config, stream_seed, lanes)
+        while len(streams) > MAX_WORKER_STREAMS:
+            streams.popitem(last=False)
+    else:
+        streams.move_to_end(key)
+    return prng
 
 
 def serial_reference(config: EngineConfig, n: int) -> np.ndarray:
@@ -250,7 +268,7 @@ def _picklable(exc: BaseException):
 
 
 def _serve_fetch_round(span_reqs,
-                       streams: Dict[Tuple[int, int], AddressableExpanderPRNG],
+                       streams: StreamBanks,
                        config: EngineConfig, resp_q) -> None:
     """One fused round: every span is generated into a single output
     buffer, back to back, and shipped in one response.  Spans are
@@ -263,17 +281,12 @@ def _serve_fetch_round(span_reqs,
         pos = 0
         for stream_seed, lanes, offset, n in span_reqs:
             try:
-                key = (stream_seed, lanes)
-                prng = streams.get(key)
-                if prng is None:
-                    prng = streams[key] = _make_stream(
-                        config, stream_seed, lanes
-                    )
+                prng = _stream_bank(streams, config, stream_seed, lanes)
                 if prng.tell() != offset:
                     # Fresh worker behind a long-lived stream (post-
-                    # restart), or an explicit-offset fetch: jump
-                    # straight there -- O(log offset), never a replay
-                    # of the already-served prefix.
+                    # restart), an evicted bank, or an explicit-offset
+                    # fetch: jump straight there -- O(log offset), never
+                    # a replay of the already-served prefix.
                     prng.seek(offset)
                 if n:
                     prng.generate_into(buf[pos:pos + n])
@@ -289,7 +302,8 @@ def _serve_fetch_round(span_reqs,
             resp_q.put(("err", f"{type(exc).__name__}: {exc}"))
 
 
-def _serve_request(req, streams: Dict[Tuple[int, int], AddressableExpanderPRNG],
+def _serve_request(req,
+                   streams: StreamBanks,
                    config: EngineConfig, resp_q) -> None:
     """Handle one request message.
 
@@ -324,7 +338,7 @@ def _shard_main(config: EngineConfig, shard_index: int,
     if bank is not None and resume_rounds:
         bank.seek(resume_rounds * config.lanes)
     writer = ring_handle.attach() if ring_handle is not None else None
-    streams: Dict[Tuple[int, int], AddressableExpanderPRNG] = {}
+    streams: StreamBanks = OrderedDict()
     ready.set()
     try:
         while not stop.is_set():
@@ -812,9 +826,10 @@ class ShardedEngine:
                      offset: Optional[int] = None) -> np.ndarray:
         """``n`` numbers of the named stream (thread-safe).
 
-        Byte-identical to ``AddressableExpanderPRNG(num_threads=lanes,
-        bit_source=<same feed chain>(stream_seed)).generate(...)`` run
-        in process, regardless of fetch sizing or worker restarts.
+        Byte-identical to ``ParallelExpanderPRNG(num_threads=lanes,
+        bit_source=<same feed chain>(stream_seed), policy="mod")
+        .generate(...)`` run in process, regardless of fetch sizing or
+        worker restarts.
 
         ``offset`` names the absolute word offset to serve from; the
         default continues where the previous fetch of this stream left
@@ -861,7 +876,6 @@ class ShardedEngine:
         return {
             "shards": self.config.shards,
             "lanes_per_shard": self.config.lanes,
-            "policy": self.config.policy,
             "ring_burst": self._burst,
             "backend": self.config.backend or "numpy",
             "rounds_assembled": self.rounds_assembled,

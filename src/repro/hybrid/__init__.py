@@ -1,6 +1,5 @@
 """Hybrid CPU+GPU orchestration: work units, throughput model, scheduler."""
 
-from repro.hybrid.multiproc import multicore_generate, serial_equivalent
 from repro.hybrid.scheduler import GenerationPlan, HybridScheduler
 from repro.hybrid.throughput import (
     cpu_hybrid_time_ns,
@@ -15,8 +14,6 @@ from repro.hybrid.throughput import (
 from repro.hybrid.workunits import DEVICE_MAPPING, WorkItem, WorkUnit
 
 __all__ = [
-    "multicore_generate",
-    "serial_equivalent",
     "GenerationPlan",
     "HybridScheduler",
     "cpu_hybrid_time_ns",

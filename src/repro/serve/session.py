@@ -18,7 +18,8 @@ the server's master seed -- the same SplitMix64 derivation
 Each :class:`SessionStream` owns a
 :class:`~repro.resilience.supervised.SupervisedFeed` chain (primary
 feed, an independent SplitMix64 fallback, OS entropy last) in front of
-an :class:`~repro.core.parallel.AddressableExpanderPRNG` walker bank,
+a ``policy="mod"`` :class:`~repro.core.parallel.ParallelExpanderPRNG`
+walker bank,
 so a dying bit source degrades the session instead of killing it;
 health is surfaced through the ``STATUS`` protocol op.  Because the
 bank is offset-addressable, a session can :meth:`~SessionStream.seek`
@@ -38,7 +39,7 @@ import numpy as np
 from repro.bitsource.base import BitSource
 from repro.bitsource.counter import SplitMix64Source
 from repro.bitsource.os_entropy import OsEntropySource
-from repro.core.parallel import AddressableExpanderPRNG
+from repro.core.parallel import ParallelExpanderPRNG
 from repro.core.streams import derive_seed
 from repro.dist import DistStream
 from repro.resilience.supervised import FeedHealth, RetryPolicy, SupervisedFeed
@@ -156,9 +157,9 @@ class SessionStream:
                 policy=retry_policy or SERVE_RETRY_POLICY,
                 jitter_seed=self.seed,
             )
-            self.prng = AddressableExpanderPRNG(
+            self.prng = ParallelExpanderPRNG(
                 num_threads=lanes, bit_source=self.supervisor,
-                backend=backend,
+                policy="mod", backend=backend,
             )
             # The addressable bank draws lazily, so probe the feed here
             # and rewind: a fatal feed surfaces its structured error at

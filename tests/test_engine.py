@@ -1,12 +1,14 @@
 """Tests for the process-sharded generation engine."""
 
 import os
+import queue
 import signal
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from repro.core.parallel import AddressableExpanderPRNG
+from repro.core.parallel import ParallelExpanderPRNG
 from repro.core.streams import derive_seed
 from repro.engine import EngineConfig, ShardedEngine, serial_reference
 from repro.engine.sharded import _make_feed
@@ -28,12 +30,15 @@ class TestConfig:
         EngineConfig()
 
     def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError, match="fixed-consumption"):
-            EngineConfig(policy="bogus")
+        """Every engine bank walks the windowed 'mod' stream: the
+        config has no policy field to set."""
+        for policy in ("bogus", "mod"):
+            with pytest.raises(TypeError, match="policy"):
+                EngineConfig(policy=policy)
 
     def test_reject_policy_not_addressable(self):
         """'reject' consumes data-dependent chunks: engine refuses it."""
-        with pytest.raises(ValueError, match="fixed-consumption"):
+        with pytest.raises(TypeError, match="policy"):
             EngineConfig(policy="reject")
 
     def test_bad_counts_rejected(self):
@@ -60,10 +65,10 @@ class TestBulkStream:
     def test_round_is_shard_major(self):
         """Round r of the stream = shard 0's round r, then shard 1's."""
         banks = [
-            AddressableExpanderPRNG(
+            ParallelExpanderPRNG(
                 num_threads=CONFIG.lanes,
                 bit_source=_make_feed(CONFIG, derive_seed(CONFIG.seed, i)),
-                policy=CONFIG.policy,
+                policy="mod",
             )
             for i in range(2)
         ]
@@ -90,9 +95,9 @@ class TestNamedStreams:
     def test_matches_in_process_bank(self):
         """A stream fetch is byte-identical to the same bank run locally."""
         seed, lanes = 41, 16
-        local = AddressableExpanderPRNG(
+        local = ParallelExpanderPRNG(
             num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-            policy=CONFIG.policy,
+            policy="mod",
         )
         with ShardedEngine(CONFIG) as eng:
             np.testing.assert_array_equal(
@@ -102,9 +107,9 @@ class TestNamedStreams:
     def test_explicit_offset_fetch(self):
         """fetch_stream(offset=...) serves any slice, even backwards."""
         seed, lanes = 41, 16
-        local = AddressableExpanderPRNG(
+        local = ParallelExpanderPRNG(
             num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-            policy=CONFIG.policy,
+            policy="mod",
         )
         ref = local.generate(200)
         with ShardedEngine(CONFIG) as eng:
@@ -135,6 +140,41 @@ class TestNamedStreams:
         with ShardedEngine(CONFIG) as eng:
             with pytest.raises(ValueError):
                 eng.fetch_stream(1, 0, 16)
+
+
+class TestWorkerStreamCache:
+    def test_named_stream_cache_is_bounded(self, monkeypatch):
+        """More distinct streams than the cap, through the worker's
+        fetch path: at most the cap stay cached, and every word equals a
+        fresh in-process bank at the same offset (an evicted bank is
+        rebuilt and seeks)."""
+        import repro.engine.sharded as sharded_mod
+
+        monkeypatch.setattr(sharded_mod, "MAX_WORKER_STREAMS", 3)
+        cfg = EngineConfig(seed=3, shards=1, lanes=8, ring_slots=0)
+        streams, resp = OrderedDict(), queue.Queue()
+        served = {}
+        # One fetchv round each; the last round alone names 5 streams,
+        # and streams 0 and 1 come back after being evicted.
+        rounds = [[0], [1], [2], [3], [4], [0], [5], [1],
+                  [10, 11, 12, 13, 14]]
+        for seeds in rounds:
+            spans = [(seed, 8, served.get(seed, 0), 13) for seed in seeds]
+            sharded_mod._serve_request(("fetchv", [spans]), streams, cfg,
+                                       resp)
+            status, (buf, metas) = resp.get_nowait()
+            assert status == "okv" and metas == [13] * len(spans)
+            assert len(streams) <= 3
+            for i, (seed, lanes, start, n) in enumerate(spans):
+                fresh = ParallelExpanderPRNG(
+                    num_threads=lanes, bit_source=_make_feed(cfg, seed),
+                    policy="mod",
+                )
+                np.testing.assert_array_equal(
+                    buf[i * n:(i + 1) * n], fresh.generate(start + n)[start:]
+                )
+                served[seed] = start + n
+        assert list(streams) == [(12, 8), (13, 8), (14, 8)]
 
 
 class TestServeIntegration:
@@ -171,11 +211,15 @@ class TestFailure:
     def test_bulk_restart_is_deterministic(self):
         cfg = EngineConfig(seed=3, shards=2, lanes=8, ring_slots=2,
                            fetch_timeout_s=3.0, auto_restart=True)
-        ref = serial_reference(cfg, 150)
+        # The shard may fill its whole ring before the kill lands; a
+        # tail longer than every buffered word forces the respawn.
+        buffered = cfg.ring_slots * cfg.ring_burst * cfg.shards * cfg.lanes
+        n_tail = buffered + 100
+        ref = serial_reference(cfg, 50 + n_tail)
         with ShardedEngine(cfg) as eng:
             head = eng.generate(50)
             kill_shard(eng, 1)
-            tail = eng.generate(100)
+            tail = eng.generate(n_tail)
             assert eng.restarts >= 1
             assert eng.health == "DEGRADED"
         np.testing.assert_array_equal(np.concatenate([head, tail]), ref)
@@ -184,9 +228,9 @@ class TestFailure:
         cfg = EngineConfig(seed=3, shards=2, lanes=8, ring_slots=0,
                            fetch_timeout_s=3.0, auto_restart=True)
         seed, lanes = 40, 8  # seed % 2 == 0: shard 0 owns the stream
-        local = AddressableExpanderPRNG(
+        local = ParallelExpanderPRNG(
             num_threads=lanes, bit_source=_make_feed(cfg, seed),
-            policy=cfg.policy,
+            policy="mod",
         )
         with ShardedEngine(cfg) as eng:
             head = eng.fetch_stream(seed, lanes, 30)
@@ -276,9 +320,9 @@ class TestFetchSpans:
         shards, each byte-identical to its in-process bank."""
         streams = [(40, 8), (41, 16), (42, 8), (43, 4)]
         locals_ = {
-            (seed, lanes): AddressableExpanderPRNG(
+            (seed, lanes): ParallelExpanderPRNG(
                 num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-                policy=CONFIG.policy,
+                policy="mod",
             )
             for seed, lanes in streams
         }
@@ -298,9 +342,9 @@ class TestFetchSpans:
         """Two offset=None spans of one stream in a single batch
         continue each other, and fetch_stream continues after both."""
         seed, lanes = 41, 8
-        local = AddressableExpanderPRNG(
+        local = ParallelExpanderPRNG(
             num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-            policy=CONFIG.policy,
+            policy="mod",
         )
         ref = local.generate(120)
         with ShardedEngine(CONFIG) as eng:
@@ -319,9 +363,9 @@ class TestFetchSpans:
         import repro.engine.sharded as sharded_mod
 
         seed, lanes = 40, 8
-        local = AddressableExpanderPRNG(
+        local = ParallelExpanderPRNG(
             num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-            policy=CONFIG.policy,
+            policy="mod",
         )
         ref = local.generate(600)
         old_cap = sharded_mod.MAX_ROUND_WORDS
@@ -357,9 +401,9 @@ class TestFetchSpans:
         cfg = EngineConfig(seed=3, shards=2, lanes=8, ring_slots=0,
                            fetch_timeout_s=3.0, auto_restart=True)
         seed, lanes = 40, 8  # shard 0 owns the stream
-        local = AddressableExpanderPRNG(
+        local = ParallelExpanderPRNG(
             num_threads=lanes, bit_source=_make_feed(cfg, seed),
-            policy=cfg.policy,
+            policy="mod",
         )
         ref = local.generate(100)
         with ShardedEngine(cfg) as eng:

@@ -10,17 +10,13 @@ streams as literals:
 * the first 16 ``GlibcRandom.words64`` words for seed 1 (the glibc
   reference seed), and
 * the first 64 numbers emitted by a 16-lane bank, seed 0, under each of
-  the three neighbour-selection policies,
+  the two neighbour-selection policies (the chained ``reject`` stream
+  and the windowed ``mod`` stream),
 
 checked against every kernel variant (fused/reference walk x
 blocked/reference feed).  Any future change to these values -- however
 self-consistent -- is a hard failure that must be an explicit,
 documented decision.
-
-``mod`` and ``lazy`` share a golden vector by construction: on 3-bit
-chunks both policies fix 0..6 and map 7 to 0 (``7 % 7 == 0``), so they
-are the same chunk-to-neighbour map and only *diverge* on feeds wider
-than 3 bits per draw (which nothing emits).
 """
 
 from __future__ import annotations
@@ -97,47 +93,46 @@ GOLDEN_REJECT = np.array([
     0x86e73a4899d78a44, 0x088d34709216f70f,
 ], dtype=np.uint64)
 
+#: The windowed ``mod`` stream (re-pinned once, when the chained ``mod``
+#: bank was folded into the windowed construction; see CHANGES.md).
 GOLDEN_MOD = np.array([
-    0x0471a1b84303b90e, 0xb0fd2e581312822b,
-    0xa7774c01f554d59c, 0x23b59b2155753a11,
-    0xce0a41fa77785a04, 0xb817e0ac4dda57b1,
-    0x84b608ac1138e94f, 0x1b124c94188998f1,
-    0x97ce3ff83c0d4f58, 0x5902eb579b35d635,
-    0x26deb69145397b1c, 0x61ec4c658dd8e32d,
-    0x18f9658b12b0f890, 0xa53ed7f16d3d87ef,
-    0xd408532dac1359a7, 0x5d06f221dbe62c0f,
-    0xd7c5d83ad08dec13, 0x7fd60ea8481c132b,
-    0x1201f5f43180cee7, 0xb9bd9fe3f6ac03f4,
-    0x915cf787ad145ed7, 0x46855e2abaeb6483,
-    0xc8f62ea55f0fc247, 0xf05ade1416efc81a,
-    0x03bdf1bb559e91de, 0xa415196e567cfb45,
-    0x701142f6a5ce4a31, 0x63dd464a42ee77ae,
-    0x34262f77bbb34856, 0x5168f8286b876563,
-    0x031b6e307a7e058b, 0x56cec4ebf3b31cc6,
-    0x9a0c3c1958648b0a, 0xc1d1493100670407,
-    0xd24db693d22fa8e4, 0xfd239aa5fb81b123,
-    0x216d1f3d021a31bd, 0x4416e6da7a69b91d,
-    0x01d71471399a3de7, 0xf9041fcf8aa91f2a,
-    0x33963524ca3faedc, 0xe31da911920efb6e,
-    0xb5cd863419a7227e, 0xd03860c9d09210f0,
-    0xa718b2e0ae0525d7, 0x51a55a7a2810ef52,
-    0x230348ad678c230a, 0xb6a26f240fef6f15,
-    0x420037a98ad88959, 0xff1dee7e9ae950ad,
-    0x08501635c8fb7f37, 0xb58796a0e31dd4cd,
-    0x5fc2a1cd4658c50f, 0x33d686b6292fe8c7,
-    0x65fcffc033f1727a, 0x84e0e8a9e2f7c102,
-    0x569b3b91fc5f89cb, 0x5bf657e318bca739,
-    0x027baabc3620a7dd, 0x484a44e71f107f87,
-    0xa67ab5f257069e37, 0xbe6791080f20da33,
-    0xe4288965aa1a5e7e, 0xfee8793ecca1a68b,
+    0x898d27cfd2cf2621, 0xf9116cf8c347a6ca,
+    0x8dff4a6e7eeda3a3, 0x9d7c2d42c5162a92,
+    0x793f684c4fe61627, 0x06c20c9adbf14891,
+    0x103eb91f1ef27dc5, 0x1831d12d3a6812f8,
+    0x99271c0891abd401, 0xa0919bc909768202,
+    0x90c94f6544fd67e2, 0xa4f95f734ea37599,
+    0x192a2c7cc9f0386b, 0xe72a5a151687d1bb,
+    0xf137784f55c0ad38, 0xcd159f191818eef1,
+    0x6a7272e060e9af35, 0x894f58bec9cff741,
+    0x73f3f7350013e81e, 0x92c858c3f6aa694d,
+    0x1e645dcf2396a925, 0x46a45fd77be0b45c,
+    0x5666125ea5306138, 0x2acb636253ed5622,
+    0xc987f71515198ca7, 0x3b412e2bed1be447,
+    0x2d7e21e808d181ba, 0xf9168f6049f9bcb8,
+    0xf86e1d25fe652718, 0x82e7c1a26f5658c6,
+    0xde5bfe55f618b947, 0xb64916c5fefe8475,
+    0xab94d104d15c0c56, 0xd20c6997e6cd50dd,
+    0x05c1545d6344ecb6, 0x805cc69f57babaeb,
+    0xa74eccc05da7545e, 0x2adf27c75d109db4,
+    0xb7849ce11f17dab5, 0xc3f4669f6a896374,
+    0xeaab2c5e6cacc42c, 0xfe96f72ecfe18f85,
+    0xfe287e60c01768fe, 0x481560d3eda37335,
+    0xbc0f0df8f8af0e7f, 0x5cebdfbabe51f280,
+    0xca432594c90fde1c, 0x1357967364dfb45b,
+    0x1f8a246ff48cc304, 0x77b78d30f62ec9b9,
+    0x3d6c54d416e376ae, 0xca8afd7eea83a1f2,
+    0x063f56184e325850, 0x0788336d57a78a3f,
+    0x8c00bccb9849da6f, 0x751a9eb76081a95a,
+    0xa5f35ed1a7bd0b66, 0x66daff9245a54553,
+    0x26dc91220461ca54, 0xc914ceeb47839059,
+    0x46bc03b8460b5b50, 0x29a9986c8f4104a5,
+    0xb1d6d646d648589b, 0x47ffdf338d6d755d,
 ], dtype=np.uint64)
-
-GOLDEN_LAZY = GOLDEN_MOD  # same 3-bit chunk map; see module docstring
 
 GOLDEN_POLICY_VECTORS = {
     "reject": GOLDEN_REJECT,
     "mod": GOLDEN_MOD,
-    "lazy": GOLDEN_LAZY,
 }
 
 #: First outputs of glibc's scalar rand() for srand(1) -- the published

@@ -64,7 +64,8 @@ class TestApplicationsShareTheGenerator:
         out = sim.run(3000)
         assert out.tally.energy_balance_error() < 1e-9
 
-    def test_smallcrush_on_the_paper_generator(self):
-        gen = HybridPRNG(seed=4, num_threads=1 << 13)
+    @pytest.mark.parametrize("policy", ["reject", "mod"])
+    def test_smallcrush_on_the_paper_generator(self, policy):
+        gen = HybridPRNG(seed=4, num_threads=1 << 13, policy=policy)
         res = run_smallcrush(gen, scale=0.25)
         assert res.num_passed >= 13

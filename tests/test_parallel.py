@@ -75,46 +75,48 @@ class TestGeneration:
             make().generate(-1)
 
 
+@pytest.mark.parametrize("policy", ["reject", "mod"])
 class TestStreamContract:
     """generate() serves one canonical stream regardless of fetch sizes.
 
     Regression tests: generate() used to discard the tail of the last
     round whenever ``n`` was not a multiple of ``num_threads``, so
     ``generate(4); generate(4)`` skipped numbers that ``generate(8)``
-    emitted -- the fetch size leaked into the stream.
+    emitted -- the fetch size leaked into the stream.  Both policies'
+    streams obey the same contract.
     """
 
-    def test_two_fetches_equal_one(self):
-        p, q = make(threads=32, seed=9), make(threads=32, seed=9)
+    def test_two_fetches_equal_one(self, policy):
+        p, q = (make(threads=32, seed=9, policy=policy) for _ in range(2))
         split = np.concatenate([p.generate(4), p.generate(4)])
         assert np.array_equal(split, q.generate(8))
 
-    def test_arbitrary_split_equals_bulk(self):
+    def test_arbitrary_split_equals_bulk(self, policy):
         sizes = [1, 37, 2, 300, 64, 96]
-        p, q = make(threads=64, seed=10), make(threads=64, seed=10)
+        p, q = (make(threads=64, seed=10, policy=policy) for _ in range(2))
         split = np.concatenate([p.generate(s) for s in sizes])
         assert np.array_equal(split, q.generate(sum(sizes)))
 
-    def test_batch_size_orthogonal_to_split(self):
-        p, q = make(threads=48, seed=11), make(threads=48, seed=11)
+    def test_batch_size_orthogonal_to_split(self, policy):
+        p, q = (make(threads=48, seed=11, policy=policy) for _ in range(2))
         a = np.concatenate([
             p.generate(30, batch_size=2), p.generate(70, batch_size=5)
         ])
         assert np.array_equal(a, q.generate(100))
 
-    def test_remainder_survives_zero_fetch(self):
-        p, q = make(threads=32, seed=12), make(threads=32, seed=12)
+    def test_remainder_survives_zero_fetch(self, policy):
+        p, q = (make(threads=32, seed=12, policy=policy) for _ in range(2))
         head = p.generate(5)
         mid = p.generate(0)
         assert mid.size == 0
         got = np.concatenate([head, p.generate(27)])
         assert np.array_equal(got, q.generate(32))
 
-    def test_next_round_bypasses_remainder(self):
+    def test_next_round_bypasses_remainder(self, policy):
         """next_round() is the raw per-round API: it neither serves nor
         disturbs generate()'s buffered tail."""
-        p = make(threads=16, seed=13)
-        ref = make(threads=16, seed=13).generate(48)
+        p = make(threads=16, seed=13, policy=policy)
+        ref = make(threads=16, seed=13, policy=policy).generate(48)
         head = p.generate(8)           # buffers 8 tail numbers
         skipped = p.next_round()       # round 2, raw
         tail = p.generate(24)          # rest of round 1, then round 3

@@ -7,10 +7,10 @@ instance would after generating (and discarding) ``offset`` words.
 * feed level -- every seekable :class:`BitSource` (GlibcRandom blocked
   and scalar, AnsiCLcg, SplitMix64Source, RawCounterSource), including
   offsets that straddle the glibc ring/window boundaries;
-* walker level -- :class:`AddressableExpanderPRNG` across the
-  fixed-consumption policies x all four kernel variants (fused /
-  reference walk x blocked / scalar feed), plus the chained
-  :class:`ParallelExpanderPRNG`'s forward replay-seek for ``reject``;
+* walker level -- the windowed ``policy="mod"``
+  :class:`ParallelExpanderPRNG` across all four kernel variants (fused /
+  reference walk x blocked / scalar feed), plus the chained ``reject``
+  bank's forward replay-seek;
 * golden vectors -- hardcoded words at fixed offsets (several beyond
   2**32) so a regression in the jump-ahead linear algebra cannot hide
   behind a matching regression in the sequential path.
@@ -23,8 +23,8 @@ from repro.bitsource.base import UnseekableSourceError
 from repro.bitsource.counter import RawCounterSource, SplitMix64Source
 from repro.bitsource.glibc import AnsiCLcg, GlibcRandom
 from repro.bitsource.os_entropy import OsEntropySource
-from repro.core.parallel import AddressableExpanderPRNG, ParallelExpanderPRNG
-from repro.core.walk import FIXED_CONSUMPTION_POLICIES, POLICIES
+from repro.core.parallel import ParallelExpanderPRNG
+from repro.core.walk import POLICIES
 
 # Offsets straddling every interesting boundary of the glibc kernel:
 # the 31-word ring, the 310-output warmup, and the 128-window blocks.
@@ -146,9 +146,8 @@ GOLDEN_SPLITMIX_12345 = {
     (1 << 40) + 123: 0x6D6A8353960AF3B9,
     (1 << 48) + 7: 0x7E191784542F3FEF,
 }
-# AddressableExpanderPRNG(num_threads=8, bit_source=GlibcRandom(9)):
-# identical for 'mod' and 'lazy' because DEGREE == 7 makes both fold
-# chunk 7 onto vertex-map 0 (7 - DEGREE == 0 and the lazy identity).
+# ParallelExpanderPRNG(num_threads=8, bit_source=GlibcRandom(9),
+# policy="mod"):
 GOLDEN_BANK_LANES8_SEED9 = {
     0: 0x1D7F55C2CC5E68CF,
     1: 0xA4716B360B002191,
@@ -174,10 +173,10 @@ class TestGoldenOffsets:
             src.seek(offset)
             assert int(src.words64(1)[0]) == expected, f"offset {offset}"
 
-    @pytest.mark.parametrize("policy", FIXED_CONSUMPTION_POLICIES)
+    @pytest.mark.parametrize("policy", ["mod"])
     def test_bank_golden_offsets(self, policy):
         for offset, expected in GOLDEN_BANK_LANES8_SEED9.items():
-            prng = AddressableExpanderPRNG(
+            prng = ParallelExpanderPRNG(
                 num_threads=8, bit_source=GlibcRandom(9), policy=policy
             )
             prng.seek(offset)
@@ -185,7 +184,7 @@ class TestGoldenOffsets:
 
 
 class TestBankSeek:
-    """seek == fresh replay across 3 policies x 4 kernel variants."""
+    """seek == fresh replay across both policies x 4 kernel variants."""
 
     OFFSETS = [0, 1, 7, 8, 9, 63, 64, 65, 100, 255, 256, 300]
 
@@ -194,11 +193,7 @@ class TestBankSeek:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_seek_equals_fresh_replay(self, policy, fused, blocked):
         def make():
-            cls = (
-                ParallelExpanderPRNG if policy == "reject"
-                else AddressableExpanderPRNG
-            )
-            return cls(
+            return ParallelExpanderPRNG(
                 num_threads=8,
                 bit_source=GlibcRandom(42, blocked=blocked),
                 policy=policy,
@@ -215,14 +210,14 @@ class TestBankSeek:
                         f"seek({offset})",
             )
 
-    @pytest.mark.parametrize("policy", FIXED_CONSUMPTION_POLICIES)
+    @pytest.mark.parametrize("policy", ["mod"])
     @pytest.mark.parametrize("feed", [
         lambda: GlibcRandom(11), lambda: AnsiCLcg(11),
         lambda: SplitMix64Source(11),
     ], ids=["glibc", "ansi-c", "splitmix64"])
     def test_backwards_seek(self, policy, feed):
-        """Addressable banks seek backwards in O(log offset): no replay."""
-        make = lambda: AddressableExpanderPRNG(
+        """Windowed banks seek backwards in O(log offset): no replay."""
+        make = lambda: ParallelExpanderPRNG(
             num_threads=8, bit_source=feed(), policy=policy
         )
         ref = make().generate(200)
@@ -238,18 +233,20 @@ class TestBankSeek:
             num_threads=8, bit_source=GlibcRandom(1), policy="reject"
         )
         prng.generate(100)
-        with pytest.raises(ValueError, match="AddressableExpanderPRNG"):
+        with pytest.raises(ValueError, match='policy="mod"'):
             prng.seek(10)
 
     def test_reject_policy_not_addressable(self):
-        with pytest.raises(ValueError, match="fixed-consumption"):
-            AddressableExpanderPRNG(
-                num_threads=8, bit_source=GlibcRandom(1), policy="reject"
-            )
+        """'reject' redraws a data-dependent number of chunks, so its
+        rounds have no fixed feed window to jump to."""
+        prng = ParallelExpanderPRNG(num_threads=8, bit_source=GlibcRandom(1))
+        assert prng.engine.policy == "reject" and not prng.addressable
+        with pytest.raises(ValueError, match="data-dependent"):
+            prng.engine.indices_from_chunks(np.zeros(4, dtype=np.uint8))
 
     def test_tell_tracks_position(self):
-        prng = AddressableExpanderPRNG(
-            num_threads=8, bit_source=GlibcRandom(3)
+        prng = ParallelExpanderPRNG(
+            num_threads=8, bit_source=GlibcRandom(3), policy="mod"
         )
         assert prng.tell() == 0
         prng.generate(13)
@@ -263,16 +260,16 @@ class TestBankSeek:
         """Sequential generation never seeks the feed; only seek() needs
         a seekable source (and the entropy fallback is exactly that
         trade: live randomness, no resume)."""
-        prng = AddressableExpanderPRNG(
-            num_threads=8, bit_source=OsEntropySource()
+        prng = ParallelExpanderPRNG(
+            num_threads=8, bit_source=OsEntropySource(), policy="mod"
         )
         assert prng.generate(64).size == 64
         with pytest.raises(UnseekableSourceError):
             prng.seek(0)
 
     def test_split_fetch_invariance_after_seek(self):
-        make = lambda: AddressableExpanderPRNG(
-            num_threads=8, bit_source=GlibcRandom(5)
+        make = lambda: ParallelExpanderPRNG(
+            num_threads=8, bit_source=GlibcRandom(5), policy="mod"
         )
         ref = make().generate(300)
         prng = make()
@@ -285,8 +282,8 @@ class TestBankSeek:
     def test_huge_offset_composes(self):
         """Same composition identity as the feeds, at the bank level."""
         base = (1 << 40) + 17
-        make = lambda: AddressableExpanderPRNG(
-            num_threads=8, bit_source=GlibcRandom(21)
+        make = lambda: ParallelExpanderPRNG(
+            num_threads=8, bit_source=GlibcRandom(21), policy="mod"
         )
         a = make()
         a.seek(base)
@@ -301,12 +298,12 @@ class TestFusedRounds:
     K*nt-lane walk must be bit-identical to strict per-round
     production (the serve-throughput tentpole's correctness core)."""
 
-    @pytest.mark.parametrize("policy", sorted(FIXED_CONSUMPTION_POLICIES))
+    @pytest.mark.parametrize("policy", ["mod"])
     def test_fused_equals_per_round(self, policy, monkeypatch):
         import repro.core.parallel as parallel_mod
 
         def bank():
-            return AddressableExpanderPRNG(
+            return ParallelExpanderPRNG(
                 num_threads=8, bit_source=SplitMix64Source(5),
                 walk_length=12, policy=policy,
             )
@@ -319,11 +316,11 @@ class TestFusedRounds:
         np.testing.assert_array_equal(fused, strict)
 
     def test_fused_split_fetch_and_seek(self):
-        a = AddressableExpanderPRNG(
-            num_threads=8, bit_source=SplitMix64Source(5)
+        a = ParallelExpanderPRNG(
+            num_threads=8, bit_source=SplitMix64Source(5), policy="mod"
         )
-        b = AddressableExpanderPRNG(
-            num_threads=8, bit_source=SplitMix64Source(5)
+        b = ParallelExpanderPRNG(
+            num_threads=8, bit_source=SplitMix64Source(5), policy="mod"
         )
         whole = a.generate(800)
         parts = np.concatenate(

@@ -60,6 +60,47 @@ class TestRoundTrip:
         assert b.bits_consumed == a.bits_consumed
 
 
+def _windowed(seed=4, lanes=16):
+    return ParallelExpanderPRNG(
+        num_threads=lanes, bit_source=GlibcRandom(seed), policy="mod"
+    )
+
+
+class TestWindowedSnapshot:
+    """A ``mod`` bank's snapshot is its stream offset; restore seeks."""
+
+    # 0: before the first round; 37: inside round 2 of a 16-lane bank.
+    @pytest.mark.parametrize("offset", [0, 37])
+    def test_restores_into_fresh_bank(self, offset):
+        a = _windowed()
+        a.generate(offset)
+        snap = json.loads(json.dumps(capture_state(a)))
+        assert snap["offset"] == offset
+        expected = a.generate(100)
+
+        b = _windowed()
+        restore_state(b, snap)
+        assert b.tell() == offset
+        np.testing.assert_array_equal(b.generate(100), expected)
+
+    def test_restores_into_bank_that_has_drawn(self):
+        a = _windowed()
+        a.generate(100)
+        snap = capture_state(a)
+        expected = a.generate(50)
+
+        b = _windowed()
+        b.generate(4)
+        restore_state(b, snap)
+        assert b.tell() == 100
+        np.testing.assert_array_equal(b.generate(50), expected)
+
+    def test_lane_count_must_match(self):
+        snap = capture_state(_windowed(lanes=16))
+        with pytest.raises(ValueError, match="walkers"):
+            restore_state(_windowed(lanes=8), snap)
+
+
 class TestValidation:
     def test_wrong_kind(self):
         a = ExpanderWalkPRNG(bit_source=SplitMix64Source(1))

@@ -81,14 +81,6 @@ class TestPolicies:
         counts = np.bincount(ks, minlength=7)
         assert counts[0] > 1.7 * counts[1:].mean()
 
-    def test_lazy_policy_bias(self):
-        g = GabberGalilExpander()
-        eng = WalkEngine(g, policy="lazy")
-        state = eng.make_state(SplitMix64Source(2).words64(4))
-        ks = eng._draw_indices(140_000, SplitMix64Source(3), state)
-        counts = np.bincount(ks, minlength=7)
-        assert counts[0] > 1.7 * counts[1:].mean()
-
     def test_expected_chunks_per_step(self):
         g = GabberGalilExpander()
         assert WalkEngine(g, "reject").expected_chunks_per_step() == pytest.approx(
