@@ -10,7 +10,9 @@ reference kernels **in the same run**:
   neighbour-selection policies (the chained ``reject`` walk and the
   windowed ``mod`` bank) with the fused walk kernel, plus
   the pre-overhaul variant (``fused=False`` + unblocked feed) under the
-  default ``reject`` policy for the end-to-end speedup;
+  default ``reject`` policy for the end-to-end speedup; both policies
+  again on smaller banks (16, 64 and 1024 lanes), where per-step fixed
+  cost rather than lane width sets the rate;
 * **DELIVERY** -- ``generate_into`` into a caller-owned buffer vs
   allocating ``generate``;
 * **stage self-time** -- per-stage ``self_s`` from the obs tracer for
@@ -72,17 +74,27 @@ def bench_feed(words: int, seed: int = 1) -> dict:
     return out
 
 
-def bench_generate(
-    lanes: int, numbers: int, seed: int = 0, backend=None
-) -> dict:
-    """GENERATE per policy (fused) plus the pre-overhaul reject variant."""
-    out = {}
+def _policy_rates(lanes: int, numbers: int, seed: int, backend) -> dict:
+    """``generate`` numbers/s of an ``lanes``-lane bank, per policy."""
+    rates = {}
     for policy in POLICIES:
         prng = ParallelExpanderPRNG(
             num_threads=lanes, seed=seed, policy=policy, backend=backend
         )
         prng.generate(lanes)  # warm scratch buffers and the feed
-        out[f"gen_numbers_per_s_{policy}"] = _rate(prng.generate, numbers)
+        rates[policy] = _rate(prng.generate, numbers)
+    return rates
+
+
+def bench_generate(
+    lanes: int, numbers: int, seed: int = 0, backend=None
+) -> dict:
+    """GENERATE per policy (fused) plus the pre-overhaul reject variant."""
+    out = {
+        f"gen_numbers_per_s_{policy}": rate
+        for policy, rate in _policy_rates(lanes, numbers, seed,
+                                          backend).items()
+    }
     legacy = ParallelExpanderPRNG(
         num_threads=lanes,
         bit_source=GlibcRandom(seed, blocked=False),
@@ -95,6 +107,21 @@ def bench_generate(
         out["gen_numbers_per_s_reject"]
         / out["gen_numbers_per_s_reject_legacy"]
     )
+    return out
+
+
+def bench_lanes_sweep(
+    sweep: tuple, numbers: int, seed: int = 0, backend=None
+) -> dict:
+    """GENERATE per policy on smaller banks, keyed
+    ``gen_numbers_per_s_<policy>_<lanes>l``.  Each measurement draws at
+    most 1024 rounds, so a slow small-bank path cannot stall the run."""
+    out = {}
+    for lanes in sweep:
+        rates = _policy_rates(lanes, min(numbers, 1024 * lanes), seed,
+                              backend)
+        out.update({f"gen_numbers_per_s_{policy}_{lanes}l": rate
+                    for policy, rate in rates.items()})
     return out
 
 
@@ -144,6 +171,7 @@ def run_hotpath(
     lanes: int = 4096,
     numbers: int = 1 << 20,
     backend=None,
+    sweep_lanes: tuple = (16, 64, 1024),
 ) -> dict:
     from common import host_env
 
@@ -179,6 +207,12 @@ def run_hotpath(
         f" -> end-to-end speedup {report['e2e_speedup_reject']:.2f}x",
         flush=True,
     )
+    report.update(bench_lanes_sweep(sweep_lanes, numbers, backend=backend))
+    for sweep in sweep_lanes:
+        for policy in POLICIES:
+            rate = report[f"gen_numbers_per_s_{policy}_{sweep}l"]
+            print(f"GENERATE: {policy:6s} {sweep:5d} lanes "
+                  f"{rate / 1e6:8.3f} M numbers/s", flush=True)
     report.update(bench_delivery(lanes, numbers, backend=backend))
     print(
         f"DELIVERY: generate_into "
@@ -222,8 +256,10 @@ def test_hotpath_smoke():
     rates are positive (not a performance assertion)."""
     from conftest import record
 
-    report = run_hotpath(feed_words=1 << 12, lanes=64, numbers=2048)
+    report = run_hotpath(feed_words=1 << 12, lanes=64, numbers=2048,
+                         sweep_lanes=(16,))
     assert report["feed_words_per_s_blocked"] > 0
+    assert report["gen_numbers_per_s_mod_16l"] > 0
     assert report["gen_numbers_per_s_reject"] > 0
     assert report["into_numbers_per_s"] > 0
     record("hotpath", "hot-path smoke", data={

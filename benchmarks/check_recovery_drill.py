@@ -43,6 +43,9 @@ from repro.serve import ServeClient, SessionStream, read_journal
 
 MASTER_SEED = 2026
 LANES = 32
+#: Seconds the variates drill waits for the journal to catch up with
+#: the words its clients received before it kills the server.
+JOURNAL_WAIT_S = 10.0
 
 
 def start_server(journal: str, port: int = 0) -> "tuple[subprocess.Popen, int]":
@@ -65,6 +68,27 @@ def start_server(journal: str, port: int = 0) -> "tuple[subprocess.Popen, int]":
         raise RuntimeError("server did not report listening within 30s")
     bound = int(line.split("listening on ")[1].split()[0].rsplit(":", 1)[1])
     return proc, bound
+
+
+def wait_for_journal(journal: str, marks: dict) -> dict:
+    """Poll the journal until every session's acked offset equals its
+    mark; returns the sessions still behind (empty on success).
+
+    The server journals an ack *after* its send returns, so a client
+    can hold words the journal does not record yet; killing in that gap
+    would make the journal under-count through no fault of recovery.
+    """
+    deadline = time.monotonic() + JOURNAL_WAIT_S
+    while True:
+        sessions = read_journal(journal).sessions
+        behind = {
+            sid: sessions.get(sid, {}).get("offset")
+            for sid, mark in marks.items()
+            if sessions.get(sid, {}).get("offset") != mark
+        }
+        if not behind or time.monotonic() >= deadline:
+            return behind
+        time.sleep(0.01)
 
 
 def run_variates_drill(clients: int, head: int, tail: int) -> int:
@@ -102,6 +126,13 @@ def run_variates_drill(clients: int, head: int, tail: int) -> int:
                 b = conns[sid].fetch_variates("normal", head - head // 3)
                 heads[sid] = np.concatenate([a, b])
                 word_marks[sid] = conns[sid].words_received
+            behind = wait_for_journal(journal, word_marks)
+            if behind:
+                print(f"VARIATES RECOVERY GATE FAILED: journal still "
+                      f"behind the delivered offsets after "
+                      f"{JOURNAL_WAIT_S:.0f}s: {behind} (delivered "
+                      f"{word_marks})", file=sys.stderr)
+                return 1
             kill_server(proc)
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup path
@@ -181,6 +212,11 @@ def run_drill(clients: int, head: int, tail: int) -> int:
                 a = conns[sid].fetch(head // 3)
                 b = conns[sid].fetch(head - head // 3)
                 heads[sid] = np.concatenate([a, b])
+            # No journal wait here, unlike the variates drill: this gate
+            # checks only which sessions the journal holds (a session's
+            # first ack is journaled before its connection reads the next
+            # request) and resumes at the client's own offset, so a kill
+            # before the last ack's journal write is a case it must pass.
             kill_server(proc)
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup path

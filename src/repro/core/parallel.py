@@ -68,6 +68,8 @@ DEFAULT_BATCH_SIZE = 100
 #: change emitted values, only how many rounds share one kernel sweep.
 FUSED_LAUNCH_LANES = 1 << 16
 
+_EMPTY = np.empty(0, dtype=np.uint64)
+
 
 class ParallelExpanderPRNG:
     """Bank of independent expander walkers emitting 64-bit numbers.
@@ -151,7 +153,7 @@ class ParallelExpanderPRNG:
         #: Part of the stream contract: the stream is one lane-major
         #: round sequence and ``generate`` slices it, so fetch sizing
         #: cannot change which numbers a caller sees.
-        self._remainder = np.empty(0, dtype=np.uint64)
+        self._remainder = _EMPTY
         self._state = None
         if self.addressable:
             return
@@ -176,7 +178,7 @@ class ParallelExpanderPRNG:
         return out
 
     def _window_into(self, out: np.ndarray, first_round: int,
-                     num_rounds: int) -> None:
+                     num_rounds: int) -> np.ndarray:
         """Windowed rounds ``[first_round, first_round + num_rounds)``.
 
         Because every windowed round is a pure function of its own feed
@@ -188,6 +190,11 @@ class ParallelExpanderPRNG:
         ``num_rounds`` sequential rounds -- while the per-step NumPy
         work runs on ``num_rounds``-times-wider arrays, which is what
         makes small banks (16-64 lanes) fast.
+
+        ``out`` may stop short inside the last round (see
+        :meth:`_launch_into`); its unread numbers are returned.  The
+        launch scratch is dropped afterwards: the bank keeps only the
+        last round's ``nt`` walker positions.
         """
         nt = self.num_threads
         wl = self.walk_length
@@ -199,19 +206,6 @@ class ParallelExpanderPRNG:
         self._source_pos = base + num_rounds * wpr
         slab = words.reshape(num_rounds, wpr)
         fresh = self.engine.make_state(slab[:, :nt].reshape(-1))
-        prev = self._state
-        if prev is not None:
-            # Carry the cumulative counters and the fused-kernel scratch
-            # buffers across launches; the stale view identities (and a
-            # lane-count check inside the kernel) force the scratch to
-            # re-sync with the new start positions.
-            fresh.steps_taken = prev.steps_taken
-            fresh.chunks_consumed = prev.chunks_consumed
-            bufs = getattr(prev, "_fused_bufs", None)
-            if bufs is not None:
-                fresh._fused_bufs = bufs
-                fresh._fused_xy = (None, None)
-        self._state = fresh
         # Per round: 21 chunks per word, first wl * nt are real, the
         # word-tail chunks are padding.  Step-major across the fused
         # lane axis: ks[i] holds step i's index for every (round, lane).
@@ -224,47 +218,52 @@ class ParallelExpanderPRNG:
             .transpose(1, 0, 2)
             .reshape(wl, num_rounds * nt)
         )
-        if not self.backend.is_host:
-            # Stage the whole launch's index block on the device in one
-            # transfer; per-step row slices then pass through untouched.
-            ks = self.backend.device_index(ks)
-        for i in range(wl):
-            self.engine._apply_indices(fresh, ks[i])
-        fresh.chunks_consumed += wl * nt * num_rounds
-        self.engine.outputs_into(fresh, out)
+        self.engine.apply_block(fresh, ks)
+        rest = self._emit(fresh, out)
+        steps, chunks = self._counters()
+        # copy(): the last round's positions, detached from the launch
+        # buffers so those are freed.
+        self._state = WalkState(
+            fresh.x[-nt:], fresh.y[-nt:],
+            steps + fresh.steps_taken, chunks + wl * nt * num_rounds,
+        ).copy()
+        return rest
 
-    def _launch_into(self, out: np.ndarray, num_rounds: int) -> None:
-        """One kernel launch: ``num_rounds`` full rounds under one span.
+    def _launch_into(self, out: np.ndarray, num_rounds: int) -> np.ndarray:
+        """One kernel launch: ``num_rounds`` rounds under one span.
 
         Writes the launch's numbers round-by-round, thread-major within
-        each round, directly into ``out`` (size ``num_rounds *
-        num_threads``) -- the same stream :meth:`next_round` walks, so
-        launch grouping cannot change values, only tracing granularity.
-        No intermediate per-round arrays are allocated.  A ``mod``
-        launch walks up to :data:`FUSED_LAUNCH_LANES` lanes at a time.
+        each round, directly into ``out`` -- the same stream
+        :meth:`next_round` walks, so launch grouping cannot change
+        values, only tracing granularity.  ``out`` may end inside the
+        last round (``(num_rounds - 1) * num_threads < out.size``); the
+        last round's unread numbers are returned, so a fetch's partial
+        tail round rides in its last launch instead of costing one of
+        its own.  A ``mod`` launch walks up to
+        :data:`FUSED_LAUNCH_LANES` lanes at a time.
         """
         nt = self.num_threads
+        rest = _EMPTY
         steps_before, chunks_before = self._counters()
         with span("generate", lanes=nt, rounds=num_rounds):
             if self.addressable:
                 per_launch = max(1, FUSED_LAUNCH_LANES // nt)
                 for done in range(0, num_rounds, per_launch):
                     k = min(per_launch, num_rounds - done)
-                    self._window_into(out[done * nt : (done + k) * nt],
-                                      self._round_index + done, k)
+                    rest = self._window_into(out[done * nt : (done + k) * nt],
+                                             self._round_index + done, k)
             else:
                 for i in range(num_rounds):
                     self.engine.walk(self._state, self.source,
                                      self.walk_length)
-                    self.engine.outputs_into(
-                        self._state, out[i * nt : (i + 1) * nt]
-                    )
+                    rest = self._emit(self._state,
+                                      out[i * nt : (i + 1) * nt])
         self._round_index += num_rounds
-        self.numbers_generated += out.size
+        self.numbers_generated += num_rounds * nt
         steps_after, chunks_after = self._counters()
         obs_metrics.counter(
             "repro_prng_numbers_total", "64-bit numbers emitted"
-        ).inc(out.size)
+        ).inc(num_rounds * nt)
         obs_metrics.counter(
             "repro_prng_rounds_total", "GetNextRand rounds executed"
         ).inc(num_rounds)
@@ -274,6 +273,18 @@ class ParallelExpanderPRNG:
         obs_metrics.counter(
             "repro_prng_feed_bits_total", "Feed bits consumed (3 per chunk)"
         ).inc(3 * (chunks_after - chunks_before))
+        return rest
+
+    def _emit(self, state: WalkState, out: np.ndarray) -> np.ndarray:
+        """Deliver the walkers' numbers into ``out``, which may be
+        shorter than the bank; returns the numbers that did not fit."""
+        if out.size == state.num_walkers:
+            self.engine.outputs_into(state, out)
+            return _EMPTY
+        full = np.empty(state.num_walkers, dtype=np.uint64)
+        self.engine.outputs_into(state, full)
+        out[:] = full[: out.size]
+        return full[out.size :].copy()
 
     def _counters(self) -> tuple:
         """``(steps_taken, chunks_consumed)``; zeros before a first round."""
@@ -319,15 +330,12 @@ class ParallelExpanderPRNG:
             out[:take] = self._remainder[:take]
             self._remainder = self._remainder[take:]
             pos = take
-        while n - pos >= nt:
-            k = min((n - pos) // nt, batch_size)
-            self._launch_into(out[pos : pos + k * nt], k)
+        while pos < n:
+            # The last launch also covers a partial tail round, whose
+            # unread numbers become the remainder: one launch per fetch.
+            k = min(-(-(n - pos) // nt), batch_size)
+            self._remainder = self._launch_into(out[pos : pos + k * nt], k)
             pos += k * nt
-        if pos < n:
-            vals = self.next_round()
-            take = n - pos
-            out[pos:] = vals[:take]
-            self._remainder = vals[take:].copy()
         # Sentinel tap: a read-only look at the delivered words.  The
         # tap copies what it samples and never touches the stream, so
         # values (and golden streams) are unchanged; with no tap
@@ -400,7 +408,7 @@ class ParallelExpanderPRNG:
             )
         rounds, within = divmod(word_offset, self.num_threads)
         self._round_index = rounds
-        self._remainder = np.empty(0, dtype=np.uint64)
+        self._remainder = _EMPTY
         if within:
             vals = self.next_round()
             self._remainder = vals[within:].copy()
@@ -487,7 +495,8 @@ class ParallelExpanderPRNG:
     def state(self) -> Optional[WalkState]:
         """The underlying walker bank (read-mostly; copy before mutating).
 
-        ``None`` on a ``mod`` bank that has not produced a round yet.
+        On a ``mod`` bank: the last round's ``num_threads`` walkers, or
+        ``None`` before a first round.
         """
         return self._state
 

@@ -399,6 +399,44 @@ class WalkEngine:
         ks = self._draw_indices(state.num_walkers, source, state)
         self._apply_indices(state, ks)
 
+    def apply_block(self, state: WalkState, ks) -> None:
+        """Advance every walker by ``len(ks)`` steps in one kernel call.
+
+        ``ks`` is a ``(steps, lanes)`` block of neighbour indices, row
+        ``i`` naming step ``i``'s neighbour for every lane; the result
+        equals ``len(ks)`` :meth:`_apply_indices` calls, one per row.
+        On the host the fused kernel fetches its ping-pong buffers once,
+        binds the LUT gathers to locals and loops the five ufunc calls
+        with nothing else per step.  ``mode="clip"`` skips the bounds
+        check (and the buffered copy NumPy makes for ``mode="raise"``
+        with ``out=``); it is exact because every index is 0..6 by
+        construction.  Torch's ``take`` has no ``mode``, so non-host
+        backends -- and the ``fused=False`` reference -- loop the
+        per-step kernel instead.
+        """
+        if not (self._fused and self._be_host):
+            if not self._be_host:
+                # One host->device copy for the whole block; row slices
+                # of the uploaded array pass through device_index untouched.
+                ks = self.backend.device_index(ks)
+            for i in range(len(ks)):
+                self._apply_indices(state, ks[i])
+            return
+        cur, nxt, ta, tc = self._fused_buffers(state)
+        take_a, take_c = self._a2.take, self._c2.take
+        mul, add = np.multiply, np.add
+        # The swapped-row views are fixed per buffer: build them once.
+        cur_sw, nxt_sw = cur[::-1], nxt[::-1]
+        for k in ks:
+            take_a(k, axis=1, out=ta, mode="clip")
+            take_c(k, axis=1, out=tc, mode="clip")
+            mul(ta, cur_sw, out=ta)
+            add(ta, tc, out=ta)
+            add(cur, ta, out=nxt)
+            cur, nxt, cur_sw, nxt_sw = nxt, cur, nxt_sw, cur_sw
+        self._fused_commit(state, cur, nxt, ta, tc)
+        state.steps_taken += state.num_walkers * len(ks)
+
     def walk(self, state: WalkState, source: BitSource, length: int) -> None:
         """Advance every walker by ``length`` steps, in place.
 
@@ -407,22 +445,21 @@ class WalkEngine:
         lets all ``length * n`` chunks be drawn in one bulk request
         (step-major order) -- the chunk stream is continuous, so slicing
         cannot change it.  'reject' must interleave each step's
-        redraws with the next step's base draw, so it steps one at a
-        time.
+        redraws with the next step's base draw, so it draws one step at
+        a time -- the same feed requests, in the same order and sizes,
+        as ``length`` :meth:`step` calls -- into a ``(length, n)``
+        block.  The kernel never reads the feed, so either way the
+        whole walk is then one :meth:`apply_block` call.
         """
         check_positive("length", length)
-        if self.policy == "reject":
-            for _ in range(length):
-                self.step(state, source)
-            return
         n = state.num_walkers
-        ks = self._draw_indices(length * n, source, state).reshape(length, n)
-        if not self._be_host:
-            # One host->device copy for the whole block; row slices of
-            # the uploaded array pass through device_index untouched.
-            ks = self.backend.device_index(ks)
-        for i in range(length):
-            self._apply_indices(state, ks[i])
+        if self.policy == "reject":
+            ks = np.empty((length, n), dtype=np.uint8)
+            for i in range(length):
+                ks[i] = self._draw_indices(n, source, state)
+        else:
+            ks = self._draw_indices(length * n, source, state).reshape(length, n)
+        self.apply_block(state, ks)
 
     def outputs(self, state: WalkState) -> np.ndarray:
         """Current vertex ids of all walkers -- the emitted random numbers.

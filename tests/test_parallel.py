@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.bitsource.counter import SplitMix64Source
 from repro.core.parallel import ParallelExpanderPRNG
 
@@ -123,6 +124,60 @@ class TestStreamContract:
         got = np.concatenate([head, tail])
         assert np.array_equal(np.concatenate([got[:16], skipped, got[16:]]),
                               ref)
+
+
+class TestLaunches:
+    """A fetch is one kernel launch, and a bank keeps no launch scratch
+    between fetches."""
+
+    @staticmethod
+    def launches(fetch):
+        with obs.observed() as (_registry, tracer):
+            fetch()
+        return sum(1 for s in tracer.spans if s.name == "generate")
+
+    def test_partial_tail_round_rides_in_the_last_launch(self):
+        p, q = make(threads=64, seed=21, policy="mod"), make(
+            threads=64, seed=21, policy="mod")
+        head = np.empty(1000, dtype=np.uint64)  # 1000 % 64 != 0
+        assert self.launches(lambda: p.generate_into(head)) == 1
+        mid = np.empty(24, dtype=np.uint64)  # the buffered tail round
+        assert self.launches(lambda: p.generate_into(mid)) == 0
+        tail = np.empty(77, dtype=np.uint64)
+        assert self.launches(lambda: p.generate_into(tail)) == 1
+        assert np.array_equal(np.concatenate([head, mid, tail]),
+                              q.generate(1101))
+        assert p.tell() == 1101
+
+    @staticmethod
+    def held_bytes(state):
+        """Bytes of every array the state references, counting each
+        view's base buffer once (a view keeps all of its base alive)."""
+        bases = {}
+        for value in vars(state).values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if not isinstance(arr, np.ndarray):
+                    continue
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                bases[id(arr)] = arr.nbytes
+        return sum(bases.values())
+
+    def test_windowed_bank_keeps_only_last_round_positions(self):
+        lanes = 64
+        p = make(threads=lanes, seed=23, policy="mod")
+        p.generate_into(np.empty(4096, dtype=np.uint64))
+        assert self.held_bytes(p.state) <= 2 * lanes * 4
+        assert p.state.num_walkers == lanes
+
+    def test_windowed_state_is_the_last_rounds_walkers(self):
+        lanes = 16
+        p = make(threads=lanes, seed=24, policy="mod")
+        vals = p.generate(5 * lanes + 3)
+        last = p.engine.outputs(p.state)
+        np.testing.assert_array_equal(last[:3], vals[-3:])
+        assert p.state.steps_taken == 6 * lanes * p.walk_length
+        assert p.state.chunks_consumed == 6 * lanes * p.walk_length
 
 
 class TestIntegersRegressions:

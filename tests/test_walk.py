@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitsource.base import BitSource
 from repro.bitsource.counter import RawCounterSource, SplitMix64Source
+from repro.bitsource.glibc import GlibcRandom
 from repro.core.expander import GabberGalilExpander
 from repro.core.walk import POLICIES, WalkEngine, WalkState
 
@@ -31,6 +33,25 @@ class CountingSource:
     def chunks3(self, n):
         self.chunks_served += n
         return self.inner.chunks3(n)
+
+
+class RecordingSource(BitSource):
+    """Feed wrapper logging the size of every ``words64`` request --
+    the granularity at which fault schedules (``FaultyBitSource``)
+    count calls."""
+
+    name = "recording"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests = []
+
+    def words64(self, n):
+        self.requests.append(n)
+        return self.inner.words64(n)
+
+    def reseed(self, seed):
+        self.inner.reseed(seed)
 
 
 class TestWalkState:
@@ -329,6 +350,87 @@ class TestFusedKernel:
         _, eng, state = make_state(8)
         with pytest.raises(ValueError, match="shape"):
             eng.outputs_into(state, np.empty(9, dtype=np.uint64))
+
+
+class TestBlockKernel:
+    """``apply_block`` advances a bank by a whole ``(steps, lanes)``
+    index block in one call; it must equal one ``_apply_indices`` call
+    per row, and walks built on it must pull the feed exactly as
+    ``length`` ``step`` calls do."""
+
+    @pytest.mark.parametrize("width", [1, 16, 4099])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("blocked", [True, False])
+    def test_equals_per_row_steps(self, width, policy, fused, blocked):
+        g = GabberGalilExpander()
+        eng = WalkEngine(g, policy=policy, fused=fused)
+        src = GlibcRandom(width, blocked=blocked)
+        draw = eng.make_state(src.words64(width))
+        ks = np.stack([eng._draw_indices(width, src, draw) for _ in range(9)])
+        starts = SplitMix64Source(width).words64(width)
+        block, rows = eng.make_state(starts), eng.make_state(starts)
+        eng.apply_block(block, ks)
+        for k in ks:
+            eng._apply_indices(rows, k)
+        np.testing.assert_array_equal(block.x, rows.x)
+        np.testing.assert_array_equal(block.y, rows.y)
+        assert block.steps_taken == rows.steps_taken == 9 * width
+        # A second block continues from the first one's positions.
+        eng.apply_block(block, ks[::-1])
+        for k in ks[::-1]:
+            eng._apply_indices(rows, k)
+        np.testing.assert_array_equal(eng.outputs(block), eng.outputs(rows))
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_reject_walk_pulls_like_per_step_walk(self, fused):
+        """Under ``reject`` the block walk draws every step's indices
+        (and redraws) before running the kernel; the feed must see the
+        same ``words64`` requests, in the same order and sizes, as a
+        step-at-a-time walk."""
+        g = GabberGalilExpander()
+        eng = WalkEngine(g, policy="reject", fused=fused)
+        starts = SplitMix64Source(3).words64(37)
+        walked, stepped = eng.make_state(starts), eng.make_state(starts)
+        src_w = RecordingSource(SplitMix64Source(8))
+        src_s = RecordingSource(SplitMix64Source(8))
+        for length in (64, 1, 13):
+            eng.walk(walked, src_w, length)
+            for _ in range(length):
+                eng.step(stepped, src_s)
+        assert src_w.requests == src_s.requests
+        np.testing.assert_array_equal(eng.outputs(walked), eng.outputs(stepped))
+        assert walked.chunks_consumed == stepped.chunks_consumed
+        np.testing.assert_array_equal(walked.feed_buffer, stepped.feed_buffer)
+
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_device_backend_matches_host(self, policy):
+        """Non-host backends loop the per-step kernel over the uploaded
+        block; a loopback device (numpy arrays behind the transfer
+        hooks) must emit the host stream, partial tail rounds too."""
+        from repro.backend.base import NumPyBackend, _DeviceBackend
+        from repro.core.parallel import ParallelExpanderPRNG
+
+        class Loopback(_DeviceBackend):
+            name = "_loopback"
+            xp = np
+            pack_pairs_to_host = NumPyBackend.pack_pairs_to_host
+
+            def _upload(self, arr):
+                return arr.copy()
+
+            def _download(self, arr):
+                return arr.copy()
+
+        dev, host = (
+            ParallelExpanderPRNG(16, bit_source=SplitMix64Source(3),
+                                 policy=policy, backend=be)
+            for be in (Loopback(), None)
+        )
+        assert not dev.engine._be_host
+        for n in (100, 37, 16):
+            np.testing.assert_array_equal(dev.generate(n), host.generate(n))
 
 
 class TestPrefetchSchedule:
